@@ -179,8 +179,7 @@ def _cmd_solve(args) -> int:
     spec, exact, _ = _build_problem(args)
     sol = collocation.solve_collocation(spec, args.n)
     res = problem.residual(spec, sol.solution, min(args.samples, 4097))
-    print(f"solved N={args.n} residual={res:.3e} "
-          f"condition={'n/a' if sol.condition is None else format(sol.condition, '.6g')}")
+    print(f"solved N={args.n} residual={res:.3e} condition={sol.condition:.6g}")
     if args.stats:
         print(f"nonzeros={sol.stats.nonzeros} "
               f"assembly_time={sol.stats.assembly_time:.6g} "

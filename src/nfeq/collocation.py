@@ -4,25 +4,24 @@ The system is assembled in the N-1 interior nodal unknowns instead of the
 per-interval slope/intercept pairs: with a continuous piecewise-linear
 ansatz the continuity constraints are automatic and the two formulations
 are algebraically equivalent (unit-tested on small N by reconstructing the
-slopes and intercepts).
+slopes and intercepts). Rows hold at most 5 nonzeros: the system is a sparse
+CSR array, solved through one SuperLU factor that also serves the condition.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from . import linalg
 from .functions import eval_on
-from .grids import CLAMP_TOL, DomainError, PiecewiseLinear, UniformGrid
+from .grids import DomainError, PiecewiseLinear, UniformGrid, locate
 from .problem import ProblemSpec, validate
 
 #: interior collocation residual the returned solution must satisfy
 RESIDUAL_TOL = 1e-9
-#: condition estimates are skipped above this system size (cost)
-DEFAULT_CONDITION_LIMIT = 512
 
 
 class CollocationError(ArithmeticError):
@@ -40,77 +39,61 @@ class AssemblyStats:
 class CollocationSolution:
     solution: PiecewiseLinear
     grid: UniformGrid
-    condition: Optional[float]
+    condition: float
     stats: AssemblyStats
 
 
-def _stencil(x: float, grid: UniformGrid) -> list[tuple[int, float]]:
-    """Nodal weights of evaluating the piecewise-linear ansatz at x."""
-    if x < -CLAMP_TOL or x > 1.0 + CLAMP_TOL:
-        raise DomainError(f"delay argument {x!r} outside [0,1]")
-    x = min(max(x, 0.0), 1.0)
-    nodes = grid.nodes
-    i = min(max(int(np.searchsorted(nodes, x, side="right")) - 1, 0), grid.n - 1)
-    w = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
-    out = []
-    if 1.0 - w != 0.0:
-        out.append((i, 1.0 - w))
-    if w != 0.0:
-        out.append((i + 1, w))
-    return out
+def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.ndarray]:
+    """Build the sparse (N-1)x(N-1) interior system and its right-hand side.
 
-
-def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Build the (N-1)x(N-1) interior system and its right-hand side.
-
-    Row i enforces u_i - T u(t_i) = k(t_i); stencil contributions hitting
-    the boundary nodes move to the right-hand side scaled by the boundary
-    values.
+    Row i enforces u_i - T u(t_i) = k(t_i). The hat-function weights of
+    phi1(t_i) and phi2(t_i), scaled by phi(t_i) and 1 - phi(t_i), form the
+    delay map B; weights on the boundary nodes move to the right-hand side
+    scaled by the boundary values, the rest enter the matrix I - B.
     """
     n = grid.n
     if n < 2:
         raise ValueError(f"need at least 2 subintervals, got {n}")
     interior = grid.nodes[1:-1]
     phi_vals = eval_on(p.phi, interior)
-    x1_vals = eval_on(p.phi1, interior)
-    x2_vals = eval_on(p.phi2, interior)
     k_vals = eval_on(p.source, interior)
-    boundary = {0: p.boundary_left, n: p.boundary_right}
+    boundary = np.zeros(n + 1)
+    boundary[0], boundary[n] = p.boundary_left, p.boundary_right
 
-    a = np.zeros((n - 1, n - 1))
-    rhs = np.zeros(n - 1)
-    for i in range(1, n):
-        r = i - 1
-        a[r, r] += 1.0
-        rhs[r] = k_vals[r]
-        for coeff, x in ((phi_vals[r], x1_vals[r]),
-                         (1.0 - phi_vals[r], x2_vals[r])):
-            try:
-                stencil = _stencil(float(x), grid)
-            except DomainError as exc:
-                raise DomainError(f"{exc} (collocation node {i})") from None
-            for j, w in stencil:
-                if j in boundary:
-                    rhs[r] += coeff * w * boundary[j]
-                else:
-                    a[r, j - 1] -= coeff * w
-    return a, rhs
+    rows = np.arange(n - 1)
+    entries = [(rows, rows, np.ones(n - 1))]
+    rhs = k_vals.copy()
+    for coeff, delay in ((phi_vals, p.phi1), (1.0 - phi_vals, p.phi2)):
+        try:
+            i, w = locate(grid, eval_on(delay, interior))
+        except DomainError as exc:
+            raise DomainError(f"delay argument {exc} (collocation node "
+                              f"{exc.index + 1})", exc.index) from None
+        for j, weight in ((i, coeff * (1.0 - w)), (i + 1, coeff * w)):
+            rhs += weight * boundary[j]
+            keep = (j > 0) & (j < n) & (weight != 0.0)
+            entries.append((rows[keep], j[keep] - 1, -weight[keep]))
+    r, c, v = (np.concatenate(parts) for parts in zip(*entries))
+    return sparse.csr_array((v, (r, c)), shape=(n - 1, n - 1)), rhs
 
 
-def solve_collocation(p: ProblemSpec, n: int,
-                      condition_limit: int = DEFAULT_CONDITION_LIMIT) -> CollocationSolution:
-    """Assemble and solve the collocation system on N = n subintervals."""
+def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
+    """Assemble and solve the collocation system on N = n subintervals.
+
+    One SuperLU factor serves the solve and the condition estimate.
+    """
     validate(p)
     grid = UniformGrid(n)
     t0 = time.perf_counter()
     a, rhs = assemble(p, grid)
     t1 = time.perf_counter()
     try:
-        x = linalg.solve(a, rhs)
+        lu = linalg.factor(a)
     except linalg.SingularMatrixError as exc:
         raise CollocationError(
             f"singular collocation system ({exc}); check the contraction "
             "certificate of the problem") from exc
+    x = lu.solve(rhs)
     t2 = time.perf_counter()
 
     values = np.concatenate(([p.boundary_left], x, [p.boundary_right]))
@@ -122,11 +105,8 @@ def solve_collocation(p: ProblemSpec, n: int,
         raise CollocationError(
             f"interior collocation residual {defect:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
-    condition = None
-    if n - 1 <= condition_limit:
-        condition = linalg.condition_estimate(a)
-
-    stats = AssemblyStats(nonzeros=int(np.count_nonzero(a)),
+    stats = AssemblyStats(nonzeros=int(a.nnz),
                           assembly_time=t1 - t0, solve_time=t2 - t1)
     return CollocationSolution(solution=solution, grid=grid,
-                               condition=condition, stats=stats)
+                               condition=linalg.condition_estimate(a, lu),
+                               stats=stats)

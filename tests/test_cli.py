@@ -67,6 +67,16 @@ def test_solve_with_product_oracle(capsys):
     assert dev <= 1e-3
 
 
+def test_solve_large_n_stats(capsys):
+    n = 65536
+    code, out, _ = run(["solve", "--problem", "cusp", "--gamma", "0.5",
+                        "--n", str(n), "--stats"], capsys)
+    assert code == 0
+    fields = dict(item.split("=", 1) for item in out.split() if "=" in item)
+    assert np.isfinite(float(fields["condition"]))
+    assert int(fields["nonzeros"]) <= 5 * (n - 1)
+
+
 def test_solve_svg_output(tmp_path, capsys):
     path = tmp_path / "sol.svg"
     code, _, _ = run(["solve", "--problem", "cusp", "--gamma", "0.5",

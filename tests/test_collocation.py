@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nfeq import collocation, grids, problem
-from nfeq.functions import constant, identity
+from nfeq import collocation, grids, linalg, problem
+from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture
 
 
@@ -18,8 +18,45 @@ def test_two_interval_hand_assembly():
     a, rhs = collocation.assemble(p, grids.UniformGrid(2))
     # phi1(0.5) = 1 contributes 0.5 * boundary 1 to the rhs;
     # phi2(0.5) = 0.1 interpolates to 0.2 u1 on [0, 0.5]
-    np.testing.assert_allclose(a, [[0.9]], atol=1e-15)
+    np.testing.assert_allclose(a.toarray(), [[0.9]], atol=1e-15)
     np.testing.assert_allclose(rhs, [0.5], atol=1e-15)
+
+
+def row_loop_assembly(p, grid):
+    """Reference: the dense per-row, per-stencil assembly loop."""
+    n = grid.n
+    interior = grid.nodes[1:-1]
+    boundary = {0: p.boundary_left, n: p.boundary_right}
+    a = np.zeros((n - 1, n - 1))
+    rhs = np.zeros(n - 1)
+    for r, t in enumerate(interior):
+        a[r, r] += 1.0
+        rhs[r] = float(p.source(t))
+        phi = float(p.phi(t))
+        for coeff, x in ((phi, float(p.phi1(t))), (1.0 - phi, float(p.phi2(t)))):
+            x = min(max(x, 0.0), 1.0)
+            i = min(max(int(np.searchsorted(grid.nodes, x, side="right")) - 1, 0), n - 1)
+            w = (x - grid.nodes[i]) / (grid.nodes[i + 1] - grid.nodes[i])
+            for j, wj in ((i, 1.0 - w), (i + 1, w)):
+                if wj == 0.0:
+                    continue
+                if j in boundary:
+                    rhs[r] += coeff * wj * boundary[j]
+                else:
+                    a[r, j - 1] -= coeff * wj
+    return a, rhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 97])
+def test_assembly_matches_row_loop_reference(n):
+    base = problem.section5(0.02, 0.5)
+    for p in (problem.paradise_fish(0.05, 0.2, 1.0), base,
+              manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2,
+                          0.5).problem):
+        a, rhs = collocation.assemble(p, grids.UniformGrid(n))
+        ref_a, ref_rhs = row_loop_assembly(p, grids.UniformGrid(n))
+        np.testing.assert_array_equal(a.toarray(), ref_a)
+        np.testing.assert_array_equal(rhs, ref_rhs)
 
 
 def test_two_interval_solution_value():
@@ -40,7 +77,7 @@ def test_row_sparsity():
     base = problem.section5(0.02, 0.5)
     manu = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5)
     a, _ = collocation.assemble(manu.problem, grids.UniformGrid(4))
-    per_row = np.count_nonzero(a, axis=1)
+    per_row = np.diff(a.indptr)
     assert per_row.max() <= 5
 
 
@@ -59,12 +96,51 @@ def test_interior_residual_invariant():
     assert defect <= collocation.RESIDUAL_TOL
 
 
-def test_condition_recorded_below_limit_only():
+def test_condition_recorded_at_every_n():
     p = problem.paradise_fish(0.0, 0.2, 1.0)
-    small = collocation.solve_collocation(p, 16)
-    assert small.condition is not None and np.isfinite(small.condition)
-    big = collocation.solve_collocation(p, 600)
-    assert big.condition is None
+    for n in (16, 600, 4096):
+        cond = collocation.solve_collocation(p, n).condition
+        assert np.isfinite(cond) and cond >= 1.0
+
+
+def test_one_factorization_per_solve(monkeypatch):
+    calls = []
+    real = linalg.splu
+    monkeypatch.setattr(linalg, "splu", lambda a: calls.append(a) or real(a))
+    sol = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2, 1.0), 64)
+    assert len(calls) == 1
+    assert np.isfinite(sol.condition)
+
+
+def test_large_n_residual_and_condition():
+    base = problem.section5(0.02, 0.5)
+    manu = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5)
+    sol = collocation.solve_collocation(manu.problem, 2 ** 16)
+    interior = sol.grid.nodes[1:-1]
+    defect = np.abs(sol.solution.values[1:-1]
+                    - manu.problem.operator(sol.solution, interior)).max()
+    assert defect <= collocation.RESIDUAL_TOL
+    assert np.isfinite(sol.condition)
+
+
+def test_assemble_delay_domain():
+    from dataclasses import replace
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    g = grids.UniformGrid(4)
+
+    def tail(value):
+        """phi1 = 1/2 + t up to t = 1/2, then the constant value."""
+        return FunctionHandle(eval=lambda t: np.where(t >= 0.5, value, 0.5 + t),
+                              label=f"tail {value}")
+
+    # an overshoot within CLAMP_TOL is clamped onto the boundary node
+    a, rhs = collocation.assemble(replace(p, phi1=tail(1.0 + 5e-13)), g)
+    ref_a, ref_rhs = collocation.assemble(replace(p, phi1=tail(1.0)), g)
+    np.testing.assert_array_equal(a.toarray(), ref_a.toarray())
+    np.testing.assert_array_equal(rhs, ref_rhs)
+    # beyond it, the first offending collocation node (t = 1/2) is named
+    with pytest.raises(grids.DomainError, match=r"collocation node 2\b"):
+        collocation.assemble(replace(p, phi1=tail(1.001)), g)
 
 
 def test_singular_system_surfaces_with_advisory():

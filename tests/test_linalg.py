@@ -25,9 +25,14 @@ def test_one_by_one_collocation_system():
 
 
 def test_singular_matrix_error_carries_step():
+    # SuperLU reports exact singularity without the elimination step
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(linalg.SingularMatrixError) as exc:
         linalg.solve(a, np.array([1.0, 1.0]))
+    assert exc.value.step is None
+    # a nonzero pivot below PIVOT_FLOOR is reported with its step
+    with pytest.raises(linalg.SingularMatrixError) as exc:
+        linalg.solve(np.diag([1.0, 1e-310]), np.array([1.0, 1.0]))
     assert exc.value.step == 2
 
 
@@ -58,9 +63,28 @@ def test_condition_singular_is_inf():
     assert linalg.condition_estimate(np.ones((2, 2))) == math.inf
 
 
-def test_condition_dimension_cap():
-    with pytest.raises(ValueError):
-        linalg.condition_estimate(np.eye(linalg.MAX_CONDITION_DIM + 1))
+def test_condition_estimate_within_factor_of_exact():
+    """The 1-norm estimate is a lower bound within a factor 3 of the exact
+    inverse-based condition number, on collocation systems and on random
+    matrices whose inverse has mixed signs."""
+    from nfeq import collocation, grids, problem
+    from nfeq.oracles import cusp_solution, manufacture
+
+    base = problem.section5(0.02, 0.5)
+    systems = [collocation.assemble(p, grids.UniformGrid(n))[0]
+               for p in (problem.paradise_fish(0.0, 0.2, 1.0),
+                         problem.paradise_fish(0.05, 0.2, 1.0),
+                         manufacture(cusp_solution(0.5), base.phi, base.phi1,
+                                     base.phi2, 0.5).problem)
+               for n in (3, 16, 100, 512)]
+    rng = np.random.default_rng(3)
+    systems += [np.eye(n) + 0.3 * rng.standard_normal((n, n)) for n in (5, 64, 200)]
+    for a in systems:
+        dense = a.toarray() if hasattr(a, "toarray") else a
+        exact = (np.abs(dense).sum(axis=1).max()
+                 * np.abs(np.linalg.inv(dense)).sum(axis=1).max())
+        est = linalg.condition_estimate(a)
+        assert exact / 3.0 <= est <= exact * (1.0 + 1e-12)
 
 
 def test_random_solve_recovery():

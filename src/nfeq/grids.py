@@ -41,17 +41,25 @@ class UniformGrid:
         return 1.0 / self.n
 
 
-def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index i and hat weight w with t = (1 - w) t_i + w t_{i+1}.
+def clamp_unit(t) -> np.ndarray:
+    """Points t as a 1-d array clamped onto [0,1].
 
-    Points within CLAMP_TOL of [0,1] are clamped onto it; a point further
-    out raises DomainError.
+    Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
+    further out raises DomainError carrying its index.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.min() < -CLAMP_TOL or ts.max() > 1.0 + CLAMP_TOL:
         k = int(np.flatnonzero((ts < -CLAMP_TOL) | (ts > 1.0 + CLAMP_TOL))[0])
         raise DomainError(f"t={float(ts[k])!r} outside [0,1]", index=k)
-    tc = np.clip(ts, 0.0, 1.0)
+    return np.clip(ts, 0.0, 1.0)
+
+
+def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index i and hat weight w with t = (1 - w) t_i + w t_{i+1}.
+
+    The points pass through clamp_unit first.
+    """
+    tc = clamp_unit(t)
     nodes = grid.nodes
     i = np.searchsorted(nodes, tc, side="right")
     i -= 1

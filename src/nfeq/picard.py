@@ -1,4 +1,10 @@
-"""Fixed-point iteration, in exact (exponential-cost) and grid-based forms."""
+"""Fixed-point iteration, in exact (exponential-cost) and grid-based forms.
+
+The grid sweep applies the delay map B of ``collocation.delay_map``, built
+once, as one CSR matrix-vector product per iteration, u_int <- B u + k, and
+keeps only the last iterate: its limit is the collocation solution of
+(I - B) u = k by construction.
+"""
 from __future__ import annotations
 
 import csv
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import eval_on
+from .collocation import delay_map
 from .grids import PiecewiseLinear, UniformGrid
 from .problem import ProblemSpec
 
@@ -59,14 +65,10 @@ def picard_exact(p: ProblemSpec, f0, depth: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class PicardTrace:
-    iterates: list
+    final: PiecewiseLinear
     increments: list
     contraction_ratios: list
     converged: bool
-
-    @property
-    def final(self) -> PiecewiseLinear:
-        return self.iterates[-1]
 
 
 def initial_iterate(p: ProblemSpec, grid: UniformGrid) -> PiecewiseLinear:
@@ -80,8 +82,10 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
     """Jacobi-style nodal fixed-point sweep with pinned boundary values.
 
     Its limit is the discrete fixed point shared with the collocation
-    solution. On non-convergence the partial trace is returned with
-    ``converged = False`` and a warning.
+    solution. The boundary values of f0, which may differ from the boundary
+    data by 1e-12, are replaced by the data. The trace holds the last
+    iterate and every increment. On non-convergence the partial trace is
+    returned with ``converged = False`` and a warning.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -91,25 +95,18 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
             abs(f0.values[-1] - p.boundary_right) > 1e-12:
         raise ValueError("initial iterate does not match the boundary values")
 
-    interior = grid.nodes[1:-1]
-    phi_vals = eval_on(p.phi, interior)
-    x1 = np.clip(eval_on(p.phi1, interior), 0.0, 1.0)
-    x2 = np.clip(eval_on(p.phi2, interior), 0.0, 1.0)
-    k_vals = eval_on(p.source, interior)
-
-    iterates = [f0]
+    b, k = delay_map(p, grid)
+    values = f0.values.copy()
+    values[0], values[-1] = p.boundary_left, p.boundary_right
     increments: list[float] = []
-    current = f0
     converged = False
     for _ in range(max_iter):
-        new_interior = (phi_vals * current.evaluate(x1)
-                        + (1.0 - phi_vals) * current.evaluate(x2) + k_vals)
-        values = np.concatenate(([p.boundary_left], new_interior, [p.boundary_right]))
-        nxt = PiecewiseLinear(grid=grid, values=values)
-        inc = float(np.abs(values - current.values).max())
-        iterates.append(nxt)
+        new = b @ values
+        new += k
+        diff = new - values[1:-1]
+        inc = float(np.abs(diff, out=diff).max())
+        values[1:-1] = new
         increments.append(inc)
-        current = nxt
         if inc < tol:
             converged = True
             break
@@ -119,7 +116,8 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
 
     ratios = [increments[i] / increments[i - 1] if increments[i - 1] > 0.0 else math.nan
               for i in range(1, len(increments))]
-    return PicardTrace(iterates=iterates, increments=increments,
+    return PicardTrace(final=PiecewiseLinear(grid=grid, values=values),
+                       increments=increments,
                        contraction_ratios=ratios, converged=converged)
 
 

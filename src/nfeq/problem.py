@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .functions import FunctionHandle, constant, eval_on, identity
+from .grids import clamp_unit
 from . import holder
 
 BOUNDARY_TOL = 1e-12
@@ -45,8 +46,8 @@ class ProblemSpec:
         """Apply the substitution operator Tf plus the source at points t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         pt = eval_on(self.phi, ts)
-        x1 = np.clip(eval_on(self.phi1, ts), 0.0, 1.0)
-        x2 = np.clip(eval_on(self.phi2, ts), 0.0, 1.0)
+        x1 = clamp_unit(eval_on(self.phi1, ts))
+        x2 = clamp_unit(eval_on(self.phi2, ts))
         out = (pt * eval_on(f, x1) + (1.0 - pt) * eval_on(f, x2)
                + eval_on(self.source, ts))
         return float(out[0]) if np.ndim(t) == 0 else out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nfeq import collocation, grids, linalg, problem
+from nfeq import collocation, grids, linalg, picard, problem
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture
 
@@ -57,6 +57,25 @@ def test_assembly_matches_row_loop_reference(n):
         ref_a, ref_rhs = row_loop_assembly(p, grids.UniformGrid(n))
         np.testing.assert_array_equal(a.toarray(), ref_a)
         np.testing.assert_array_equal(rhs, ref_rhs)
+
+
+@pytest.mark.parametrize("n", [2, 16, 97])
+def test_delay_map_invariants(n):
+    base = problem.section5(0.02, 0.5)
+    g = grids.UniformGrid(n)
+    for p in (problem.paradise_fish(0.05, 0.2, 1.0), base,
+              manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2,
+                          0.5).problem):
+        b, k = collocation.delay_map(p, g)
+        assert b.shape == (n - 1, n + 1)
+        assert b.nnz == 4 * (n - 1)
+        # the hat weights of each delay argument form a partition of unity
+        np.testing.assert_allclose(b @ np.ones(n + 1), 1.0, rtol=0.0, atol=1e-15)
+        # one grid Picard sweep is the operator at the interior nodes
+        f0 = picard.initial_iterate(p, g)
+        np.testing.assert_allclose(b @ f0.values + k,
+                                   p.operator(f0, g.nodes[1:-1]),
+                                   rtol=0.0, atol=1e-15)
 
 
 def test_two_interval_solution_value():

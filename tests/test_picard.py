@@ -1,11 +1,13 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nfeq import grids, picard, problem
 from nfeq.collocation import solve_collocation
-from nfeq.functions import identity
+from nfeq.functions import FunctionHandle, identity
 from nfeq.oracles import product_formula
 
 
@@ -101,6 +103,45 @@ def test_grid_picard_nonconvergence_warns():
                                    tol=1e-15, max_iter=2)
     assert not trace.converged
     assert len(trace.increments) == 2
+
+
+def test_grid_picard_delay_domain():
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    g = grids.UniformGrid(4)
+    f0 = picard.initial_iterate(p, g)
+
+    def tail(value):
+        """phi1 = 1/2 + t up to t = 1/2, then the constant value."""
+        return FunctionHandle(eval=lambda t: np.where(t >= 0.5, value, 0.5 + t),
+                              label=f"tail {value}")
+
+    # an overshoot within CLAMP_TOL is clamped onto the boundary node
+    near = picard.picard_grid(replace(p, phi1=tail(1.0 + 5e-13)), g, f0)
+    ref = picard.picard_grid(replace(p, phi1=tail(1.0)), g, f0)
+    assert near.converged
+    np.testing.assert_array_equal(near.final.values, ref.final.values)
+    # beyond it, the first offending interior node (t = 1/2) is named
+    with pytest.raises(grids.DomainError, match=r"collocation node 2\b"):
+        picard.picard_grid(replace(p, phi1=tail(1.001)), g, f0)
+
+
+def test_grid_picard_memory_independent_of_iterations():
+    # beta = 0.9 contracts by about 0.9 per sweep, so 200 sweeps never reach
+    # the tolerance (beta = 0.2 hits an exact fixed point after 31)
+    p = problem.paradise_fish(0.05, 0.9, 1.0)
+    g = grids.UniformGrid(2 ** 14)
+    f0 = picard.initial_iterate(p, g)
+    peaks = []
+    for max_iter in (5, 200):
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning):
+                trace = picard.picard_grid(p, g, f0, tol=1e-300, max_iter=max_iter)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(trace.increments) == max_iter
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_trace_csv(tmp_path):

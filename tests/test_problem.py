@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfeq import problem
+from nfeq import grids, problem
 from nfeq.collocation import solve_collocation
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import product_solution
@@ -231,6 +231,21 @@ def test_affine_alpha_bound_saturates_threshold():
         lhs = 2.0 ** (2.0 - gamma) * bound ** gamma
         assert lhs == pytest.approx(1.0 / (1.0 + 2.0 ** (1.0 - gamma)), abs=1e-12)
     assert problem.section5_alpha_bound(0.5) == pytest.approx(0.021446, abs=1e-5)
+
+
+def test_operator_delay_domain():
+    from dataclasses import replace
+    p = problem.paradise_fish(0.1, 0.3, 1.0)
+    f = FunctionHandle(eval=lambda t: np.asarray(t, dtype=float) ** 2)
+    # an overshoot within CLAMP_TOL is clamped onto 1
+    near = replace(p, phi1=FunctionHandle(eval=lambda t: np.full_like(t, 1.0 + 5e-13)))
+    assert near.operator(f, 0.4) == pytest.approx(0.4 + 0.6 * f(0.12), abs=1e-15)
+    # beyond it, the first offending point is named by its index
+    far = replace(p, phi1=FunctionHandle(
+        eval=lambda t: np.where(t >= 0.5, 1.001, 0.5 + t)))
+    with pytest.raises(grids.DomainError) as exc:
+        far.operator(f, [0.25, 0.5, 0.75])
+    assert exc.value.index == 1
 
 
 def test_operator_matches_definition():

@@ -89,10 +89,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(action: argparse.Action, raw: str):
+    """A config value converted as its flag would be: by the action's type
+    and choices, or as one of the _BOOLEANS for an on/off flag."""
+    if isinstance(action.default, bool):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    try:
+        value = action.type(raw) if action.type is not None else raw
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid {action.type.__name__} value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {raw!r} (expected one of "
+                         f"{', '.join(map(str, action.choices))})")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -102,19 +125,12 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            current = getattr(args, attr)
-            if isinstance(current, bool):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    value = int(raw)
-                except ValueError:
-                    try:
-                        value = float(raw)
-                    except ValueError:
-                        value = raw
+            try:
+                value = _coerce(actions[attr], raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             setattr(args, attr, value)
 
 
@@ -336,7 +352,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except (collocation.CollocationError, linalg.SingularMatrixError,
             study.FitError) as exc:

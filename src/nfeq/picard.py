@@ -1,5 +1,9 @@
 """Fixed-point iteration, in exact (exponential-cost) and grid-based forms.
 
+The exact form evaluates the depth-d iterate at one point over its whole
+recursion tree of 2^(d+1) - 1 nodes, one tree level per numpy call, and
+gives the same floats as the direct scalar recursion.
+
 The grid sweep applies the delay map B of ``collocation.delay_map``, built
 once, as one CSR matrix-vector product per iteration, u_int <- B u + k, and
 keeps only the last iterate: its limit is the collocation solution of
@@ -15,23 +19,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import delay_map
-from .grids import PiecewiseLinear, UniformGrid
+from .functions import eval_on
+from .grids import PiecewiseLinear, UniformGrid, clamp_unit
 from .problem import ProblemSpec
 
 #: recursion cap: the exact evaluator costs 2^(depth+1)-1 node visits
 MAX_EXACT_DEPTH = 25
+#: levels of the recursion tree held in memory at once below one subtree
+#: root: 2^16 leaves, about 2 MiB of level arrays at any depth
+BLOCK_LEVELS = 16
 
 
 class CostGuardError(ValueError):
     """Requested exact-iteration depth exceeds the exponential-cost cap."""
 
 
-def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[float, int]:
-    """Evaluate the depth-th iterate at a single point by direct recursion.
+def _expand(p: ProblemSpec, xs: np.ndarray, levels: int):
+    """Walk ``levels`` levels down the recursion tree from the points xs.
 
-    Returns (value, visits) where visits counts every node of the recursion
-    tree, 2^(depth+1) - 1 in total: the exponential cost that makes plain
-    iteration impractical.
+    Returns the (phi, source) values of each level and the points below the
+    last one; the children of x are phi1(x) and phi2(x), interleaved.
+    """
+    coeffs = []
+    for _ in range(levels):
+        coeffs.append((eval_on(p.phi, xs), eval_on(p.source, xs)))
+        kids = np.empty(2 * xs.size)
+        kids[0::2] = clamp_unit(eval_on(p.phi1, xs))
+        kids[1::2] = clamp_unit(eval_on(p.phi2, xs))
+        xs = kids
+    return coeffs, xs
+
+
+def _collapse(coeffs, v: np.ndarray) -> np.ndarray:
+    """Combine child values level by level, bottom-up, as the recursion does."""
+    for w, s in reversed(coeffs):
+        v = w * v[0::2] + (1.0 - w) * v[1::2] + s
+    return v
+
+
+def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[float, int]:
+    """Evaluate the depth-th iterate at a single point over the full recursion tree.
+
+    Returns (value, visits) where visits counts every node of the tree,
+    2^(depth+1) - 1 in total: the exponential cost that makes plain
+    iteration impractical. The tree is evaluated a level at a time, with the
+    same floating-point operations in the same order as the direct recursion
+    f_d(x) = phi(x) f_{d-1}(phi1(x)) + (1 - phi(x)) f_{d-1}(phi2(x)) + k(x).
+    Below the top depth - BLOCK_LEVELS levels, each subtree is expanded
+    from its own root, so memory stays bounded. Delay values pass through
+    ``grids.clamp_unit`` and every value through ``eval_on``.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -42,21 +78,14 @@ def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[floa
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t!r} outside [0,1]")
 
-    phi, phi1, phi2, source = p.phi, p.phi1, p.phi2, p.source
-    f0_eval = f0.eval if hasattr(f0, "eval") else f0
-    visits = 0
-
-    def rec(d: int, x: float) -> float:
-        nonlocal visits
-        visits += 1
-        if d == 0:
-            return float(f0_eval(x))
-        w = float(phi(x))
-        return (w * rec(d - 1, min(max(float(phi1(x)), 0.0), 1.0))
-                + (1.0 - w) * rec(d - 1, min(max(float(phi2(x)), 0.0), 1.0))
-                + float(source(x)))
-
-    return rec(depth, float(t)), visits
+    top, roots = _expand(p, np.array([float(t)]), max(depth - BLOCK_LEVELS, 0))
+    visits = sum(w.size for w, _ in top)
+    below = np.empty(roots.size)
+    for j in range(roots.size):
+        coeffs, leaves = _expand(p, roots[j:j + 1], depth - len(top))
+        below[j] = _collapse(coeffs, eval_on(f0, leaves))[0]
+        visits += sum(w.size for w, _ in coeffs) + leaves.size
+    return float(_collapse(top, below)[0]), visits
 
 
 def picard_exact(p: ProblemSpec, f0, depth: int, t: float) -> float:

@@ -56,3 +56,26 @@ def poly_handle(coeffs) -> FunctionHandle:
     return FunctionHandle(
         eval=lambda t: np.polyval(coeffs, np.asarray(t, dtype=float)),
         label="poly")
+
+
+def exact_reference(p, f0, depth: int, t: float) -> tuple[float, int]:
+    """Depth-th Picard iterate at t by direct scalar recursion, with its node count.
+
+    The reference for ``picard.picard_exact_counted``: the same recursion
+    one node at a time, delays clamped onto [0, 1].
+    """
+    phi, phi1, phi2, source = p.phi, p.phi1, p.phi2, p.source
+    f0_eval = f0.eval if hasattr(f0, "eval") else f0
+    visits = 0
+
+    def rec(d: int, x: float) -> float:
+        nonlocal visits
+        visits += 1
+        if d == 0:
+            return float(f0_eval(x))
+        w = float(phi(x))
+        return (w * rec(d - 1, min(max(float(phi1(x)), 0.0), 1.0))
+                + (1.0 - w) * rec(d - 1, min(max(float(phi2(x)), 0.0), 1.0))
+                + float(source(x)))
+
+    return rec(depth, float(t)), visits

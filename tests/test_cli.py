@@ -169,6 +169,24 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown option" in err
 
 
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=64.5\n")
+    code, _, err = run(["solve", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "n: invalid int value '64.5'" in err
+
+
+def test_config_unparseable_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stats=ture\n")
+    code, _, err = run(["solve", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "stats: expected one of" in err and "'ture'" in err
+
+
 def test_custom_problem_from_csv(tmp_path, capsys):
     g = grids.UniformGrid(64)
     handles = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,44 @@ def test_gamma_validation():
         holder.estimate_hoelder_norm(identity(), 1.5)
     with pytest.raises(ValueError):
         holder.uniform_samples(1)
+
+
+def _full_scan_seminorm(ts, vals, gamma):
+    """Every ordered pair at once: the m x m reference for pairwise_seminorm."""
+    dt = np.abs(ts[:, None] - ts[None, :])
+    dv = np.abs(vals[:, None] - vals[None, :])
+    keep = dt >= holder.MIN_PAIR_SEPARATION
+    return float((dv[keep] / dt[keep] ** gamma).max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       gamma=st.one_of(st.sampled_from([0.5, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True)))
+def test_pairwise_seminorm_matches_full_scan(data, gamma):
+    m = data.draw(st.integers(1, 300), label="m")
+    # drawing the points from a pool of at most m gives unsorted samples
+    # with duplicates and near-duplicates
+    pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=m), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m),
+                      label="picks")
+    vals = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m), label="vals")
+    ts = np.array(pool)[picks]
+    vals = np.array(vals)
+    assert holder.pairwise_seminorm(ts, vals, gamma) == _full_scan_seminorm(ts, vals, gamma)
+
+
+def test_pairwise_seminorm_memory_bounded():
+    ts = holder.uniform_samples(4097)
+    vals = cusp_solution(0.5)(ts)
+    tracemalloc.start()
+    try:
+        sem = holder.pairwise_seminorm(ts, vals, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sem == _full_scan_seminorm(ts, vals, 0.5)
+    assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 
 from nfeq import grids, picard, problem
 from nfeq.collocation import solve_collocation
-from nfeq.functions import FunctionHandle, identity
-from nfeq.oracles import product_formula
+from nfeq.functions import EvaluationError, FunctionHandle, identity
+from nfeq.oracles import cusp_solution, manufacture, product_formula
+
+from helpers import exact_reference
 
 
 def test_exact_depth_zero_returns_initial():
@@ -43,6 +45,77 @@ def test_exact_cost_guard():
         picard.picard_exact(p, identity(), -1, 0.5)
     with pytest.raises(ValueError):
         picard.picard_exact(p, identity(), 1, 1.5)
+
+
+def _cusp_problem():
+    base = problem.section5(0.02, 0.5)
+    return manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5).problem
+
+
+_EXACT_PROBLEMS = {"paradise": lambda: problem.paradise_fish(0.05, 0.2, 1.0),
+                   "section5": lambda: problem.section5(0.02, 0.5),
+                   "cusp": _cusp_problem}
+_SIN_F0 = FunctionHandle(
+    eval=lambda t: np.sin(3.0 * np.asarray(t, dtype=float)) + np.exp(np.asarray(t, dtype=float)),
+    label="sin(3t)+exp(t)")
+
+
+@pytest.mark.parametrize("f0", [identity(), _SIN_F0], ids=["identity", "sin"])
+@pytest.mark.parametrize("name", sorted(_EXACT_PROBLEMS))
+def test_exact_matches_scalar_recursion(name, f0):
+    p = _EXACT_PROBLEMS[name]()
+    for depth in range(13):
+        for t in (0.0, 0.3, 0.5, 0.77, 1.0):
+            assert picard.picard_exact_counted(p, f0, depth, t) == \
+                exact_reference(p, f0, depth, t), (depth, t)
+
+
+def test_exact_blocks_match_scalar_recursion(monkeypatch):
+    # 3-level blocks: depth 10 evaluates 128 subtrees below 7 top levels
+    monkeypatch.setattr(picard, "BLOCK_LEVELS", 3)
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    for depth in range(11):
+        assert picard.picard_exact_counted(p, _SIN_F0, depth, 0.3) == \
+            exact_reference(p, _SIN_F0, depth, 0.3), depth
+
+
+def test_exact_delay_domain():
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+
+    def tail(value):
+        """phi1 = 1/2 + t up to t = 1/2, then the constant value."""
+        return FunctionHandle(eval=lambda t: np.where(np.asarray(t) >= 0.5, value,
+                                                      0.5 + np.asarray(t)),
+                              label=f"tail {value}")
+
+    # an overshoot within CLAMP_TOL is clamped onto 1
+    near = picard.picard_exact(replace(p, phi1=tail(1.0 + 5e-13)), identity(), 6, 0.7)
+    ref = picard.picard_exact(replace(p, phi1=tail(1.0)), identity(), 6, 0.7)
+    assert near == ref
+    with pytest.raises(grids.DomainError):
+        picard.picard_exact(replace(p, phi1=tail(1.0 + 1e-3)), identity(), 6, 0.7)
+
+
+def test_exact_non_finite_value_raises():
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    f0 = FunctionHandle(eval=lambda t: np.where(np.asarray(t) < 0.01, np.nan, t),
+                        label="nan below 0.01")
+    assert np.isfinite(picard.picard_exact(p, f0, 2, 0.5))
+    # the leaf phi2(phi2(phi2(0.5))) = 0.004
+    with pytest.raises(EvaluationError, match="nan below 0.01"):
+        picard.picard_exact(p, f0, 3, 0.5)
+
+
+def test_exact_memory_bounded_at_depth_20():
+    p = problem.paradise_fish(0.0, 0.2, 1.0)
+    tracemalloc.start()
+    try:
+        _, visits = picard.picard_exact_counted(p, identity(), 20, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert visits == 2 ** 21 - 1
+    assert peak < 8 * 2 ** 20
 
 
 def test_initial_iterate_is_boundary_interpolant():

@@ -197,7 +197,8 @@ def _cmd_solve(args) -> int:
     res = problem.residual(spec, sol.solution, min(args.samples, 4097))
     print(f"solved N={args.n} residual={res:.3e} condition={sol.condition:.6g}")
     if args.stats:
-        print(f"nonzeros={sol.stats.nonzeros} "
+        print(f"solver={sol.stats.solver} nonzeros={sol.stats.nonzeros} "
+              f"sweeps={sol.stats.sweeps} "
               f"assembly_time={sol.stats.assembly_time:.6g} "
               f"solve_time={sol.stats.solve_time:.6g}")
     if args.oracle:
@@ -328,7 +329,7 @@ def _cmd_interp_check(args) -> int:
           f"{'PASS' if ok else 'FAIL'} ({args.trials} trials, N={args.n})")
 
     cusp = cusp_solution(args.gamma)
-    sup_err, _ = grids.measure_interp_error(cusp, grid, gamma=args.gamma)
+    sup_err = grids.interp_sup_error(cusp, grid)
     bound_sup = grids.sup_error_bound(1.0, args.gamma, 0, grid.h)
     ok_sup = sup_err <= bound_sup
     print(f"cusp interpolation error={sup_err:.6e} bound={bound_sup:.6e} "

@@ -1,6 +1,8 @@
-"""Sparse linear-algebra kernel for the collocation system.
+"""Sparse direct solver: the fallback for collocation systems the sweep cannot certify.
 
-One SuperLU factor (``scipy.sparse.linalg.splu``; Li & Demmel, ACM TOMS
+``collocation.solve_collocation`` solves by a certified Picard sweep and
+comes here only when B has a negative entry or the sweep budget runs out.
+Then one SuperLU factor (``scipy.sparse.linalg.splu``; Li & Demmel, ACM TOMS
 2003) serves the solve and the condition estimate, which applies the
 Hager/Higham-Tisseur 1-norm estimator (Higham & Tisseur, SIAM J. Matrix
 Anal. Appl. 2000) to ``a^-T``. Dense ndarrays are converted on entry.

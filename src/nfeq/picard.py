@@ -5,9 +5,11 @@ recursion tree of 2^(d+1) - 1 nodes, one tree level per numpy call, and
 gives the same floats as the direct scalar recursion.
 
 The grid sweep applies the delay map B of ``collocation.delay_map``, built
-once, as one CSR matrix-vector product per iteration, u_int <- B u + k, and
-keeps only the last iterate: its limit is the collocation solution of
-(I - B) u = k by construction.
+once, through ``collocation.sweep``: one CSR matrix-vector product per
+iteration, u_int <- B u + k, keeping only the last iterate. Its limit is the
+collocation solution of (I - B) u = k by construction, and
+``collocation.solve_collocation`` runs the same sweep, with a certified
+stopping rule, as its default solver.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collocation import delay_map
+from .collocation import delay_map, sweep
 from .functions import eval_on
 from .grids import PiecewiseLinear, UniformGrid, clamp_unit
 from .problem import ProblemSpec
@@ -130,13 +132,8 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
     increments: list[float] = []
     converged = False
     for _ in range(max_iter):
-        new = b @ values
-        new += k
-        diff = new - values[1:-1]
-        inc = float(np.abs(diff, out=diff).max())
-        values[1:-1] = new
-        increments.append(inc)
-        if inc < tol:
+        increments.append(sweep(b, k, values))
+        if increments[-1] < tol:
             converged = True
             break
     if not converged:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from nfeq.collocation import delay_map
 from nfeq.functions import FunctionHandle
 
 
@@ -79,3 +80,22 @@ def exact_reference(p, f0, depth: int, t: float) -> tuple[float, int]:
                 + float(source(x)))
 
     return rec(depth, float(t)), visits
+
+
+def grid_picard_reference(p, grid, f0, tol: float, max_iter: int):
+    """Grid Picard written out, values[1:-1] = B values + k per sweep.
+
+    The reference for ``picard.picard_grid``: returns the final nodal values
+    and every increment.
+    """
+    b, k = delay_map(p, grid)
+    values = f0.values.copy()
+    values[0], values[-1] = p.boundary_left, p.boundary_right
+    increments = []
+    for _ in range(max_iter):
+        new = b @ values + k
+        increments.append(float(np.abs(new - values[1:-1]).max()))
+        values[1:-1] = new
+        if increments[-1] < tol:
+            break
+    return values, increments

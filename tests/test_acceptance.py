@@ -104,7 +104,7 @@ def test_criterion_4_projector_bounds(acceptance):
     for f, k, g, norm in trials:
         for n in (8, 16, 32, 64, 128, 256, 512):
             grid = grids.UniformGrid(n)
-            sup, _ = grids.measure_interp_error(f, grid, gamma=g)
+            sup = grids.interp_sup_error(f, grid)
             if sup > grids.sup_error_bound(norm, g, k, grid.h):
                 sup_ok = False
 

@@ -75,6 +75,18 @@ def test_solve_large_n_stats(capsys):
     fields = dict(item.split("=", 1) for item in out.split() if "=" in item)
     assert np.isfinite(float(fields["condition"]))
     assert int(fields["nonzeros"]) <= 5 * (n - 1)
+    assert fields["solver"] == "sweep"
+    assert int(fields["sweeps"]) > 0
+
+
+def test_solve_fallback_stats(capsys):
+    code, out, _ = run(["solve", "--problem", "paradise", "--alpha", "0.05",
+                        "--beta", "0.999", "--n", "4096", "--stats"], capsys)
+    assert code == 0
+    fields = dict(item.split("=", 1) for item in out.split() if "=" in item)
+    assert fields["solver"] == "superlu"
+    # the sweeps tried before SuperLU took over
+    assert 0 < int(fields["sweeps"]) <= 10
 
 
 def test_solve_svg_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,6 @@ def test_two_interval_solution_value():
 
 
 def test_homogeneous_zero_problem():
-    from dataclasses import replace
     p = replace(problem.paradise_fish(0.05, 0.2, 1.0),
                 boundary_left=0.0, boundary_right=0.0)
     for n in (2, 7, 16):
@@ -122,13 +123,103 @@ def test_condition_recorded_at_every_n():
         assert np.isfinite(cond) and cond >= 1.0
 
 
-def test_one_factorization_per_solve(monkeypatch):
+def phi_above_one_problem():
+    """paradise_fish(0.05, 0.2) with phi = 1.2 t: phi > 1 beyond t = 5/6, so B
+    has negative entries there."""
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    return replace(p, phi=FunctionHandle(eval=lambda t: 1.2 * np.asarray(t, float),
+                                         label="1.2t"))
+
+
+def count_splu(monkeypatch):
     calls = []
     real = linalg.splu
     monkeypatch.setattr(linalg, "splu", lambda a: calls.append(a) or real(a))
+    return calls
+
+
+def test_one_factorization_per_solve(monkeypatch):
+    calls = count_splu(monkeypatch)
     sol = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2, 1.0), 64)
+    assert len(calls) == 0
+    assert np.isfinite(sol.condition)
+    sol = collocation.solve_collocation(phi_above_one_problem(), 64)
     assert len(calls) == 1
     assert np.isfinite(sol.condition)
+
+
+def sweep_problems():
+    base = problem.section5(0.02, 0.5)
+    return {"paradise": problem.paradise_fish(0.05, 0.2, 1.0),
+            "section5": base,
+            "cusp": manufacture(cusp_solution(0.5), base.phi, base.phi1,
+                                base.phi2, 0.5).problem,
+            "fish0": problem.paradise_fish(0.0, 0.2, 1.0),
+            "fish09": problem.paradise_fish(0.05, 0.9, 1.0),
+            # u = 0 is exact from the first sweep: only w decides the stop
+            "zero": replace(problem.paradise_fish(0.05, 0.2, 1.0),
+                            boundary_right=0.0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 97, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(sweep_problems()))
+def test_sweep_matches_superlu(name, n, monkeypatch):
+    p = sweep_problems()[name]
+    if name == "fish09":
+        # 179-334 sweeps at N >= 16: beyond the budget, so the sweep is
+        # checked here without it and without the early give-up
+        monkeypatch.setattr(collocation, "MAX_SWEEPS", 500)
+        monkeypatch.setattr(collocation, "RATE_SETTLED", 0.0)
+    g = grids.UniformGrid(n)
+    sol = collocation.solve_collocation(p, n)
+    assert sol.stats.solver == "sweep"
+    assert sol.stats.sweeps > 0
+    assert sol.stats.nonzeros == 4 * (n - 1)
+    a, rhs = collocation.assemble(p, g)
+    ref = linalg.solve(a, rhs)
+    np.testing.assert_allclose(sol.solution.values[1:-1], ref, rtol=0.0, atol=1e-12)
+    assert sol.solution.values[0] == p.boundary_left
+    assert sol.solution.values[-1] == p.boundary_right
+    if n <= 512:
+        dense = a.toarray()
+        exact = (np.abs(dense).sum(axis=1).max()
+                 * np.abs(np.linalg.inv(dense)).sum(axis=1).max())
+        assert exact * (1.0 - 1e-12) <= sol.condition <= exact * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("cause", ["negative B entry", "sweep budget"])
+def test_fallback_is_the_superlu_path(cause, monkeypatch):
+    if cause == "negative B entry":
+        p, sweeps = phi_above_one_problem(), 0
+    else:
+        p, sweeps = problem.paradise_fish(0.05, 0.2, 1.0), 3
+        monkeypatch.setattr(collocation, "MAX_SWEEPS", sweeps)
+    g = grids.UniformGrid(64)
+    a, rhs = collocation.assemble(p, g)
+    lu = linalg.factor(a)
+    calls = count_splu(monkeypatch)
+    sol = collocation.solve_collocation(p, 64)
+    assert len(calls) == 1
+    assert sol.stats.solver == "superlu"
+    assert sol.stats.sweeps == sweeps
+    assert sol.stats.nonzeros == a.nnz
+    np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
+    assert sol.condition == linalg.condition_estimate(a, lu)
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.999])
+def test_slow_contraction_gives_up_early(beta, monkeypatch):
+    """w contracts by about beta per sweep: far more sweeps than MAX_SWEEPS
+    would be needed, and the settled rate shows it within a few sweeps."""
+    p = problem.paradise_fish(0.05, beta, 1.0)
+    a, rhs = collocation.assemble(p, grids.UniformGrid(4096))
+    lu = linalg.factor(a)
+    calls = count_splu(monkeypatch)
+    sol = collocation.solve_collocation(p, 4096)
+    assert len(calls) == 1
+    assert sol.stats.solver == "superlu"
+    assert 0 < sol.stats.sweeps <= 10
+    np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
 
 
 def test_large_n_residual_and_condition():
@@ -143,7 +234,6 @@ def test_large_n_residual_and_condition():
 
 
 def test_assemble_delay_domain():
-    from dataclasses import replace
     p = problem.paradise_fish(0.05, 0.2, 1.0)
     g = grids.UniformGrid(4)
 
@@ -233,6 +323,8 @@ def test_equivalence_with_slope_intercept_formulation(n):
 
 def test_assembly_stats_populated():
     sol = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2, 1.0), 32)
-    assert sol.stats.nonzeros > 0
+    assert sol.stats.nonzeros == 4 * 31
+    assert sol.stats.solver == "sweep"
+    assert sol.stats.sweeps > 0
     assert sol.stats.assembly_time >= 0.0
     assert sol.stats.solve_time >= 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfeq import grids
 from nfeq.functions import EvaluationError, FunctionHandle, identity
@@ -60,6 +62,30 @@ def test_domain_clamping_and_error():
         u.evaluate(1.001)
     with pytest.raises(grids.DomainError):
         u.evaluate(-0.001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_locate_matches_searchsorted(data):
+    n = data.draw(st.one_of(
+        st.integers(1, 2 ** 20),
+        st.sampled_from([2 ** k + d for k in range(21) for d in (-1, 0, 1)
+                         if 1 <= 2 ** k + d <= 2 ** 20])), label="N")
+    g = grids.UniformGrid(n)
+    nodes = g.nodes
+    js = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=50)))
+    js = np.concatenate((js, np.arange(0, n + 1, max(1, n // 1000))))
+    near = nodes[js]
+    over = data.draw(st.floats(0.0, grids.CLAMP_TOL), label="overshoot")
+    free = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20), label="points")
+    ts = np.concatenate((near, np.nextafter(near, -1.0), np.nextafter(near, 2.0),
+                         js / n, (np.minimum(js, n - 1) + 0.5) / n,
+                         [0.0, 1.0, -over, 1.0 + over], free))
+    i, w = grids.locate(g, ts)
+    tc = np.clip(ts, 0.0, 1.0)
+    ref = np.clip(np.searchsorted(nodes, tc, side="right") - 1, 0, n - 1)
+    np.testing.assert_array_equal(i, ref)
+    np.testing.assert_array_equal(w, (tc - nodes[ref]) / (nodes[ref + 1] - nodes[ref]))
 
 
 def test_values_validation():

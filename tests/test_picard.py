@@ -10,7 +10,7 @@ from nfeq.collocation import solve_collocation
 from nfeq.functions import EvaluationError, FunctionHandle, identity
 from nfeq.oracles import cusp_solution, manufacture, product_formula
 
-from helpers import exact_reference
+from helpers import exact_reference, grid_picard_reference
 
 
 def test_exact_depth_zero_returns_initial():
@@ -215,6 +215,19 @@ def test_grid_picard_memory_independent_of_iterations():
             tracemalloc.stop()
         assert len(trace.increments) == max_iter
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_PROBLEMS))
+def test_grid_picard_matches_reference_loop(name):
+    p = _EXACT_PROBLEMS[name]()
+    for n in (2, 3, 97, 4096):
+        g = grids.UniformGrid(n)
+        f0 = grids.PiecewiseLinear(grid=g, values=picard.initial_iterate(p, g).values
+                                   + 0.3 * np.sin(np.pi * g.nodes))
+        trace = picard.picard_grid(p, g, f0, tol=1e-12)
+        values, increments = grid_picard_reference(p, g, f0, tol=1e-12, max_iter=1000)
+        assert trace.increments == increments
+        np.testing.assert_array_equal(trace.final.values, values)
 
 
 def test_trace_csv(tmp_path):

@@ -155,9 +155,14 @@ def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
     Needs B >= 0. Returns (u, bound on ||A^-1||_inf, sweeps run) once both
     certified nodal errors, bound * du and bound * dw, are within SWEEP_TOL
     of max(1, ||x||_inf). u is None when the sweep gives up: after
-    MAX_SWEEPS sweeps, or as soon as w's settled contraction predicts that
-    it cannot stop within them.
+    MAX_SWEEPS sweeps, as soon as w's settled contraction predicts that it
+    cannot stop within them, or when dw is still 1 at sweep N. Sweep j's
+    increment is ||B_int^(j-1) 1||_inf for the substochastic B_int; if it is
+    still 1 after N - 1 steps over the N - 1 interior nodes, the nodes
+    reached from its maximiser form a closed class with row sums 1, so A is
+    singular and SuperLU reports it.
     """
+    n = b.shape[0] + 1
     u = np.zeros(b.shape[1])
     u[0], u[-1] = p.boundary_left, p.boundary_right
     w = np.zeros(b.shape[1])
@@ -165,6 +170,8 @@ def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
     for sweeps in range(1, MAX_SWEEPS + 1):
         du = sweep(b, k, u)
         dw_prev, dw = dw, sweep(b, 1.0, w)
+        if dw >= 1.0 and sweeps >= n:
+            break
         if dw < 1.0:
             # w >= 0: B >= 0 and every sweep adds B^j 1 >= 0
             norm_w = float(w.max())

@@ -17,6 +17,14 @@ class EvaluationError(ValueError):
         super().__init__(f"{label!r} evaluated to {value!r} at t={t!r}")
 
 
+class DomainError(ValueError):
+    """Evaluation point outside [0,1] beyond the clamp tolerance, at ``index``."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class FunctionHandle:
     """A real function on [0, 1] with a short label.
@@ -58,8 +66,10 @@ def identity(label: str = "t") -> FunctionHandle:
 def eval_on(f, ts) -> np.ndarray:
     """Evaluate ``f`` on an array of points, falling back to a scalar loop.
 
-    Raises EvaluationError carrying the offending point if any value is
-    non-finite.
+    The scalar loop runs when the vector call fails or returns the wrong
+    shape, except for DomainError and EvaluationError, which propagate as
+    raised. Raises EvaluationError carrying the offending point if any value
+    is non-finite.
     """
     ts = np.asarray(ts, dtype=float)
     fn = f.eval if isinstance(f, FunctionHandle) else f
@@ -68,6 +78,8 @@ def eval_on(f, ts) -> np.ndarray:
         cand = np.asarray(fn(ts), dtype=float)
         if cand.shape == ts.shape:
             vals = cand
+    except (DomainError, EvaluationError):
+        raise
     except (TypeError, ValueError, IndexError):
         vals = None
     if vals is None:

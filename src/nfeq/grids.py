@@ -7,21 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import EvaluationError, eval_on
+from .functions import DomainError, EvaluationError, eval_on
 from . import holder
 
 #: slop for clamping arguments that leave [0,1] by rounding only
 CLAMP_TOL = 1e-12
 #: cap on the default error sample count: the pair scan costs m^2/2
 MAX_ERROR_SAMPLES = 4097
-
-
-class DomainError(ValueError):
-    """Evaluation point outside [0,1] beyond the clamp tolerance, at ``index``."""
-
-    def __init__(self, message: str, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -171,22 +163,28 @@ def measure_interp_error(f, grid: UniformGrid, m: int | None = None,
 
 def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
                            m: int = holder.DEFAULT_SAMPLES) -> float:
-    """Empirical lower bound on ||P_h||: max ratio of sampled gamma-norms."""
+    """Empirical lower bound on ||P_h||: max ratio of sampled gamma-norms.
+
+    Every trial and its projection are sampled first, so one pair scan
+    serves them all.
+    """
     trials = list(trial_functions)
     if not trials:
         raise ValueError("trial set must be nonempty")
     ts = holder.uniform_samples(m)
+    # rows 2i and 2i+1: trial i and its projection
+    vals = np.empty((2 * len(trials), m))
+    for i, f in enumerate(trials):
+        vals[2 * i] = eval_on(f, ts)
+        vals[2 * i + 1] = project(f, grid).evaluate(ts)
+    norms = np.abs(vals[:, 0]) + holder.pairwise_seminorm(ts, vals, gamma)
     best = 0.0
     used = 0
-    for f in trials:
-        fv = eval_on(f, ts)
-        norm_f = abs(float(fv[0])) + holder.pairwise_seminorm(ts, fv, gamma)
+    for f, norm_f, norm_p in zip(trials, norms[0::2], norms[1::2]):
         if norm_f <= 0.0:
             warnings.warn(f"skipping zero-norm trial {getattr(f, 'label', f)!r}")
             continue
-        pv = project(f, grid).evaluate(ts)
-        norm_p = abs(float(pv[0])) + holder.pairwise_seminorm(ts, pv, gamma)
-        best = max(best, norm_p / norm_f)
+        best = max(best, float(norm_p / norm_f))
         used += 1
     if used == 0:
         raise ValueError("all trial functions had zero sampled norm")

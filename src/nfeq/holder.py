@@ -3,8 +3,11 @@
 All estimates are pairwise maxima over finite sample sets and therefore
 lower bounds on the true norms. The pair scan visits each unordered pair
 once, in row blocks of bounded size, so its memory grows only linearly in
-the sample count. Checks report (lhs, rhs, margin) instead of a bare
-boolean so near-equality cases stay diagnosable.
+the sample count. It takes several functions sampled on the same points at
+once and builds each block's distances |t_i - t_j|^gamma once for all of
+them; the projector-norm study, the certificate's two Lipschitz norms and
+the product bound scan that way. Checks report (lhs, rhs, margin) instead
+of a bare boolean so near-equality cases stay diagnosable.
 """
 from __future__ import annotations
 
@@ -30,27 +33,42 @@ def uniform_samples(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
-def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float) -> float:
+def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float):
     """max over sample pairs of |v_i - v_j| / |t_i - t_j|^gamma.
 
+    ``vals`` is one function's samples, shape (m,), giving a float, or K
+    functions sampled on the same points, shape (K, m), giving K maxima.
     Scans each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows
-    [lo, hi) meet columns lo: only, since |a - b| == |b - a| exactly.
+    [lo, hi) meet columns lo: only, since |a - b| == |b - a| exactly. Each
+    block's distances |t_i - t_j|^gamma are built once and shared by the K
+    rows, in two reused block buffers whatever K is.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    best = 0.0
-    for lo in range(0, ts.size, PAIR_BLOCK_ROWS):
-        hi = min(lo + PAIR_BLOCK_ROWS, ts.size)
-        dt = np.abs(ts[lo:hi, None] - ts[None, lo:])
-        dv = np.abs(vals[lo:hi, None] - vals[None, lo:])
+    rows = np.atleast_2d(vals)
+    m = ts.size
+    if vals.ndim > 2 or rows.shape[1] != m:
+        raise ValueError(f"vals of shape {vals.shape} do not match {m} sample points")
+    best = np.zeros(rows.shape[0])
+    width = min(PAIR_BLOCK_ROWS, m)
+    dt_buf, dv_buf = np.empty(width * m), np.empty(width * m)
+    for lo in range(0, m, PAIR_BLOCK_ROWS):
+        hi = min(lo + PAIR_BLOCK_ROWS, m)
+        shape = (hi - lo, m - lo)
+        size = shape[0] * shape[1]
+        dt = np.subtract(ts[lo:hi, None], ts[None, lo:],
+                         out=dt_buf[:size].reshape(shape))
+        np.abs(dt, out=dt)
         # skipped pairs get quotient 0: dv / inf
         dt[dt < MIN_PAIR_SEPARATION] = np.inf
         dt **= gamma  # the operator keeps numpy's sqrt fast path for 0.5
-        dv /= dt
-        m = float(dv.max())
-        if m > best:
-            best = m
-    return best
+        dv = dv_buf[:size].reshape(shape)
+        for k, v in enumerate(rows):
+            np.subtract(v[lo:hi, None], v[None, lo:], out=dv)
+            np.abs(dv, out=dv)
+            dv /= dt
+            best[k] = max(best[k], dv.max())
+    return float(best[0]) if vals.ndim < 2 else best
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,14 @@ def estimate_sup_norm(f, m: int = DEFAULT_SAMPLES) -> float:
 
 
 def estimate_lipschitz_norm(f, m: int = DEFAULT_SAMPLES) -> float:
-    return estimate_hoelder_norm(f, 1.0, m).norm
+    return estimate_lipschitz_norms([f], m)[0]
+
+
+def estimate_lipschitz_norms(fs, m: int = DEFAULT_SAMPLES) -> list[float]:
+    """|f(0)| plus the Lipschitz seminorm of each f, all in one pair scan."""
+    ts = uniform_samples(m)
+    vals = np.stack([eval_on(f, ts) for f in fs])
+    return [float(n) for n in np.abs(vals[:, 0]) + pairwise_seminorm(ts, vals, 1.0)]
 
 
 def estimate_c1_hoelder_norm(f, gamma: float, m: int = DEFAULT_SAMPLES) -> float:
@@ -153,9 +178,9 @@ def check_product_bound(f, g, gamma: float, m: int = DEFAULT_SAMPLES,
     fv = eval_on(f, ts)
     gv = eval_on(g, ts)
     boundary = abs(float(fv[0]) * float(gv[0]))
-    lhs = boundary + pairwise_seminorm(ts, fv * gv, gamma)
-    sem_f = pairwise_seminorm(ts, fv, gamma)
-    sem_g = pairwise_seminorm(ts, gv, gamma)
+    sems = pairwise_seminorm(ts, np.stack((fv * gv, fv, gv)), gamma)
+    sem_fg, sem_f, sem_g = map(float, sems)
+    lhs = boundary + sem_fg
     sup_f = float(np.abs(fv).max())
     sup_g = float(np.abs(gv).max())
     rhs = sup_f * sem_g + sup_g * sem_f + boundary

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FunctionHandle
+from .grids import clamp_unit
 from .problem import ProblemSpec, residual
 
 #: default truncation threshold for the infinite product
@@ -14,24 +15,30 @@ PRODUCT_TOL = 1e-16
 MANUFACTURE_TOL = 1e-10
 
 
-def product_formula(beta: float, t: float, tol: float = PRODUCT_TOL) -> float:
+def product_formula(beta: float, t, tol: float = PRODUCT_TOL):
     """Closed-form solution 1 - prod_n (1 - beta^n t) of the one-sided family.
 
     The product is truncated once beta^n * t drops below ``tol``; the
-    relative truncation error is at most tol / (1 - beta).
+    relative truncation error is at most tol / (1 - beta). ``t`` is a point
+    (giving a float) or an array of points; each point's factors are the
+    same float operations either way.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t!r} outside [0,1]")
+    x = np.array(t, dtype=float).ravel()
+    outside = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
+    if outside.size:
+        raise ValueError(f"t={float(x[outside[0]])!r} outside [0,1]")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    prod = 1.0
-    x = float(t)
-    while x >= tol:
-        prod *= 1.0 - x
-        x *= beta
-    return 1.0 - prod
+    prod = np.ones_like(x)
+    live = np.flatnonzero(x >= tol)
+    while live.size:
+        prod[live] *= 1.0 - x[live]
+        x[live] *= beta
+        live = live[x[live] >= tol]
+    out = 1.0 - prod
+    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 def product_solution(beta: float, tol: float = PRODUCT_TOL) -> FunctionHandle:
@@ -74,7 +81,9 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
     """Choose the source so ``target`` becomes the exact zero-boundary solution.
 
     k(t) = target(t) - phi(t) target(phi1(t)) - (1-phi(t)) target(phi2(t)),
-    a composite closure so collocation can sample it at arbitrary nodes.
+    a composite closure so collocation can sample it at arbitrary nodes. The
+    delays pass through ``grids.clamp_unit``: rounding overshoot is clamped,
+    a larger one raises DomainError.
     """
     t0 = float(np.asarray(target(0.0), dtype=float))
     t1 = float(np.asarray(target(1.0), dtype=float))
@@ -82,11 +91,14 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
         raise ValueError(
             f"target must vanish at both endpoints, got {t0!r} and {t1!r}")
 
+    def clamped(delay, t):
+        x = np.asarray(delay(t), dtype=float)
+        return clamp_unit(x).reshape(x.shape)
+
     def k(t):
         t = np.asarray(t, dtype=float)
         pt = np.asarray(phi(t), dtype=float)
-        x1 = np.clip(np.asarray(phi1(t), dtype=float), 0.0, 1.0)
-        x2 = np.clip(np.asarray(phi2(t), dtype=float), 0.0, 1.0)
+        x1, x2 = clamped(phi1, t), clamped(phi2, t)
         return (np.asarray(target(t), dtype=float)
                 - pt * np.asarray(target(x1), dtype=float)
                 - (1.0 - pt) * np.asarray(target(x2), dtype=float))

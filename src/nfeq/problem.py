@@ -122,10 +122,12 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
     g = p.gamma
     ng = ov.norm_phi_gamma if ov.norm_phi_gamma is not None else \
         holder.estimate_hoelder_norm(p.phi, g, m).norm
-    n1 = ov.norm_phi1_lip if ov.norm_phi1_lip is not None else \
-        holder.estimate_lipschitz_norm(p.phi1, m)
-    n2 = ov.norm_phi2_lip if ov.norm_phi2_lip is not None else \
-        holder.estimate_lipschitz_norm(p.phi2, m)
+    n1, n2 = ov.norm_phi1_lip, ov.norm_phi2_lip
+    if n1 is None or n2 is None:
+        # both delays on the same samples: one Lipschitz pair scan
+        lip1, lip2 = holder.estimate_lipschitz_norms([p.phi1, p.phi2], m)
+        n1 = lip1 if n1 is None else n1
+        n2 = lip2 if n2 is None else n2
     p10 = ov.phi1_at_zero if ov.phi1_at_zero is not None else \
         float(eval_on(p.phi1, np.array([0.0]))[0])
 

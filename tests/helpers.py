@@ -1,10 +1,14 @@
 """Shared generators for randomized test inputs."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
+from nfeq import holder
 from nfeq.collocation import delay_map
-from nfeq.functions import FunctionHandle
+from nfeq.functions import FunctionHandle, eval_on
+from nfeq.grids import project
 
 
 def random_function(rng: np.random.Generator, exponent: float = 1.0,
@@ -99,3 +103,27 @@ def grid_picard_reference(p, grid, f0, tol: float, max_iter: int):
         if increments[-1] < tol:
             break
     return values, increments
+
+
+def projector_norm_reference(gamma, grid, trials, m=holder.DEFAULT_SAMPLES):
+    """One pair scan per trial and per projection, trial after trial.
+
+    The reference for ``grids.measure_projector_norm``, which scans all of
+    them at once.
+    """
+    ts = holder.uniform_samples(m)
+    best = 0.0
+    used = 0
+    for f in trials:
+        fv = eval_on(f, ts)
+        norm_f = abs(float(fv[0])) + holder.pairwise_seminorm(ts, fv, gamma)
+        if norm_f <= 0.0:
+            warnings.warn(f"skipping zero-norm trial {getattr(f, 'label', f)!r}")
+            continue
+        pv = project(f, grid).evaluate(ts)
+        norm_p = abs(float(pv[0])) + holder.pairwise_seminorm(ts, pv, gamma)
+        best = max(best, norm_p / norm_f)
+        used += 1
+    if used == 0:
+        raise ValueError("all trial functions had zero sampled norm")
+    return best

@@ -258,6 +258,18 @@ def test_singular_system_surfaces_with_advisory():
     assert "certificate" in str(exc.value)
 
 
+def test_singular_system_stops_sweeping_at_n(monkeypatch):
+    # dw stays 1 on phi = 1: the sweep gives up at sweep N = 8, where it
+    # ran all MAX_SWEEPS before
+    calls = []
+    real = collocation.sweep
+    monkeypatch.setattr(collocation, "sweep",
+                        lambda *args: calls.append(1) or real(*args))
+    with pytest.raises(collocation.CollocationError):
+        collocation.solve_collocation(singular_problem(), 8)
+    assert 0 < len(calls) <= 2 * 8
+
+
 def test_min_subintervals():
     with pytest.raises(ValueError):
         collocation.assemble(problem.paradise_fish(0.0, 0.2, 1.0),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nfeq.functions import (EvaluationError, FunctionHandle, as_handle,
-                            constant, eval_on, identity)
+from nfeq.functions import (DomainError, EvaluationError, FunctionHandle,
+                            as_handle, constant, eval_on, identity)
 
 
 def test_as_handle_passthrough():
@@ -40,6 +40,24 @@ def test_eval_on_scalar_fallback():
     ts = np.linspace(0, 1, 9)
     vals = eval_on(scalar_only, ts)
     assert np.allclose(vals, np.sqrt(ts))
+
+
+@pytest.mark.parametrize("error", [
+    DomainError("t=2.0 outside [0,1]", index=3),
+    EvaluationError("inner", 0.25, math.nan),
+])
+def test_eval_on_propagates_domain_and_evaluation_errors(error):
+    # no scalar retry: the vector call's error, raised once, reaches the caller
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        raise error
+
+    with pytest.raises(type(error)) as exc:
+        eval_on(f, np.linspace(0, 1, 5))
+    assert exc.value is error
+    assert calls == [(5,)]
 
 
 def test_eval_on_nonfinite_raises_with_point():

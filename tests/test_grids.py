@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfeq import grids
-from nfeq.functions import EvaluationError, FunctionHandle, identity
+from nfeq.functions import EvaluationError, FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution
 
-from helpers import poly_handle
+from helpers import poly_handle, projector_norm_reference
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,24 @@ def test_projector_norm_random_trials_below_bound():
     assert ratio <= 1.0 + 2.0 ** 0.5 + 1e-9
 
 
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_projector_norm_matches_per_trial_loop(gamma):
+    # the criterion-4 trial sets, and one with zero-norm trials among them
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 50, gamma)
+    grid = grids.UniformGrid(8)
+    assert grids.measure_projector_norm(gamma, grid, trials) == \
+        projector_norm_reference(gamma, grid, trials)
+    mixed = [constant(0.0, "zero-a"), *trials[:5], constant(0.0, "zero-b")]
+    with pytest.warns(UserWarning) as batched:
+        ratio = grids.measure_projector_norm(gamma, grid, mixed, m=129)
+    with pytest.warns(UserWarning) as reference:
+        expected = projector_norm_reference(gamma, grid, mixed, m=129)
+    assert ratio == expected
+    assert [str(w.message) for w in batched] == [str(w.message) for w in reference]
+    assert "zero-a" in str(batched[0].message) and "zero-b" in str(batched[1].message)
+
+
 def test_projector_norm_skips_zero_trials():
-    from nfeq.functions import constant
     trials = [constant(0.0), identity()]
     with pytest.warns(UserWarning):
         ratio = grids.measure_projector_norm(0.5, grids.UniformGrid(4), trials)

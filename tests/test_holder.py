@@ -10,7 +10,7 @@ from nfeq import holder
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution
 
-from helpers import poly_handle
+from helpers import poly_handle, random_function
 
 
 def sqrt_handle():
@@ -111,10 +111,18 @@ def test_pairwise_seminorm_matches_full_scan(data, gamma):
     pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=m), label="pool")
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m),
                       label="picks")
-    vals = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m), label="vals")
+    k = data.draw(st.integers(1, 5), label="K")
+    rows = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m),
+                              min_size=k, max_size=k), label="rows")
     ts = np.array(pool)[picks]
-    vals = np.array(vals)
-    assert holder.pairwise_seminorm(ts, vals, gamma) == _full_scan_seminorm(ts, vals, gamma)
+    rows = np.array(rows)
+    batch = holder.pairwise_seminorm(ts, rows, gamma)
+    assert batch.shape == (k,)
+    for vals, sem in zip(rows, batch):
+        assert sem == _full_scan_seminorm(ts, vals, gamma)
+    # the one-function call is the K = 1 case and returns a float
+    single = holder.pairwise_seminorm(ts, rows[0], gamma)
+    assert type(single) is float and single == batch[0]
 
 
 def test_pairwise_seminorm_memory_bounded():
@@ -128,6 +136,35 @@ def test_pairwise_seminorm_memory_bounded():
         tracemalloc.stop()
     assert sem == _full_scan_seminorm(ts, vals, 0.5)
     assert peak < 24 * 2 ** 20
+
+
+def test_batched_seminorm_memory_bounded():
+    # the scratch buffers do not grow with the number of rows K
+    ts = holder.uniform_samples(4097)
+    rows = np.stack([cusp_solution(0.5)(ts) * (k + 1) + np.sin(k * ts)
+                     for k in range(32)])
+    tracemalloc.start()
+    try:
+        sems = holder.pairwise_seminorm(ts, rows, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert sems[-1] == _full_scan_seminorm(ts, rows[-1], 0.5)
+
+
+def test_pairwise_seminorm_shape_mismatch():
+    ts = holder.uniform_samples(5)
+    with pytest.raises(ValueError, match="do not match 5 sample points"):
+        holder.pairwise_seminorm(ts, np.zeros((2, 4)), 0.5)
+    with pytest.raises(ValueError):
+        holder.pairwise_seminorm(ts, np.zeros((2, 2, 5)), 0.5)
+
+
+def test_lipschitz_norms_match_one_at_a_time():
+    fs = [poly_handle([0.3, -0.2, 0.7]), cusp_solution(0.5), identity()]
+    assert holder.estimate_lipschitz_norms(fs, 257) == \
+        [holder.estimate_hoelder_norm(f, 1.0, 257).norm for f in fs]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +216,19 @@ def test_product_bound_parabola_split():
     assert rep.passed
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
     assert 1.0 - 1e-2 <= rep.lhs <= 1.0 + 1e-12
+
+
+def test_product_bound_matches_one_scan_per_vector():
+    rng = np.random.default_rng(3)
+    f, g = random_function(rng, 0.5), random_function(rng, 0.75)
+    ts = holder.uniform_samples(257)
+    fv, gv = f(ts), g(ts)
+    boundary = abs(float(fv[0]) * float(gv[0]))
+    rep = holder.check_product_bound(f, g, 0.5, m=257)
+    assert rep.lhs == boundary + holder.pairwise_seminorm(ts, fv * gv, 0.5)
+    assert rep.rhs == (float(np.abs(fv).max()) * holder.pairwise_seminorm(ts, gv, 0.5)
+                       + float(np.abs(gv).max()) * holder.pairwise_seminorm(ts, fv, 0.5)
+                       + boundary)
 
 
 def test_composition_pointwise_scaled_delay():

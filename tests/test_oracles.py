@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nfeq import oracles, problem
-from nfeq.functions import constant, identity
+from nfeq.functions import DomainError, FunctionHandle, constant, identity
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +28,24 @@ def test_product_formula_validation():
         oracles.product_formula(0.2, 1.5)
     with pytest.raises(ValueError):
         oracles.product_formula(0.2, 0.5, tol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
+def test_product_formula_array_matches_scalar(beta):
+    ts = np.concatenate(([0.0, 1.0], np.random.default_rng(7).uniform(0, 1, 200)))
+    vals = oracles.product_formula(beta, ts)
+    assert vals.shape == ts.shape
+    assert np.array_equal(vals, [oracles.product_formula(beta, float(t)) for t in ts])
+    grid = oracles.product_formula(beta, ts[:200].reshape(10, 20))
+    assert np.array_equal(grid, vals[:200].reshape(10, 20))
+    assert type(oracles.product_formula(beta, 0.5)) is float
+
+
+def test_product_formula_names_first_bad_point():
+    with pytest.raises(ValueError, match=r"t=-0\.5 outside"):
+        oracles.product_formula(0.2, np.array([0.1, -0.5, 2.0]))
+    with pytest.raises(ValueError, match=r"t=nan outside"):
+        oracles.product_formula(0.2, np.array([0.1, np.nan]))
 
 
 def test_product_satisfies_functional_identity():
@@ -100,6 +118,44 @@ def test_manufacture_smooth_target_on_paradise():
     manu = oracles.manufacture(oracles.smooth_parabola(), p.phi, p.phi1, p.phi2, 1.0)
     assert problem.residual(manu.problem, manu.exact, 101) <= 1e-12
     problem.validate(manu.problem)
+
+
+def _dipping_delay(depth):
+    """0.2 t, minus a hat of height 0.001 + depth centred on t = 0.005.
+
+    The hat vanishes outside (0.001, 0.009), so the 101 residual samples
+    j/100 see 0.2 t and only points between the first two leave [0, 1],
+    by ``depth`` at t = 0.005.
+    """
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        hat = np.clip(1.0 - np.abs(t - 0.005) / 0.004, 0.0, None)
+        return 0.2 * t - (0.001 + depth) * hat
+    return FunctionHandle(eval=f, label=f"dip({depth:g})")
+
+
+def test_manufacture_delay_overshoot_raises():
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    manu = oracles.manufacture(oracles.smooth_parabola(), p.phi, p.phi1,
+                               _dipping_delay(1e-3), 1.0)
+    k = manu.problem.source
+    with pytest.raises(DomainError, match=r"t=-0\.00(1|09)\d* outside") as exc:
+        k(np.array([0.0, 0.005, 0.5]))
+    assert exc.value.index == 1
+    with pytest.raises(DomainError):
+        k(0.005)
+
+
+def test_manufacture_rounding_overshoot_clamps():
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    target = oracles.smooth_parabola()
+    manu = oracles.manufacture(target, p.phi, p.phi1, _dipping_delay(5e-13), 1.0)
+    k = manu.problem.source
+    # the delay at t = 0.005 clamps onto 0, where the target vanishes
+    expected = target(0.005) - 0.005 * target(p.phi1(0.005))
+    assert float(k(0.005)) == expected
+    assert np.shape(k(0.005)) == ()
+    assert np.shape(k(np.array([0.005]))) == (1,)
 
 
 def test_manufacture_rejects_nonvanishing_target():

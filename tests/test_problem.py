@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nfeq import grids, problem
+from nfeq import grids, holder, problem
 from nfeq.collocation import solve_collocation
 from nfeq.functions import FunctionHandle, constant, identity
-from nfeq.oracles import product_solution
+from nfeq.oracles import cusp_solution, manufacture, product_solution
 
 
 def constant_delay_problem():
@@ -64,6 +64,19 @@ def test_certificate_internal_consistency():
     assert cert.satisfies_existence == (cert.fixed_point_factor < 1.0)
     assert cert.satisfies_collocation == \
         (cert.lipschitz_factor < cert.collocation_threshold)
+
+
+@pytest.mark.parametrize("override", [None, "phi1", "phi2"])
+def test_certify_matches_per_function_estimates(override):
+    base = problem.section5(0.02, 0.5)
+    p = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5).problem
+    m = 1025
+    ov = problem.NormOverrides(**{f"norm_{override}_lip": 7.0} if override else {})
+    cert = problem.certify(p, m=m, overrides=ov)
+    assert cert.norm_phi_gamma == holder.estimate_hoelder_norm(p.phi, 0.5, m).norm
+    for name, fn in (("phi1", p.phi1), ("phi2", p.phi2)):
+        expected = 7.0 if name == override else holder.estimate_hoelder_norm(fn, 1.0, m).norm
+        assert getattr(cert, f"norm_{name}_lip") == expected
 
 
 def test_certify_override_monotonicity():

@@ -334,7 +334,7 @@ def _cmd_interp_check(args) -> int:
     ok_sup = sup_err <= bound_sup
     print(f"cusp interpolation error={sup_err:.6e} bound={bound_sup:.6e} "
           f"{'PASS' if ok_sup else 'FAIL'}")
-    return EXIT_OK if ok and ok_sup else EXIT_USAGE
+    return EXIT_OK if ok and ok_sup else EXIT_NUMERICAL
 
 
 _COMMANDS = {

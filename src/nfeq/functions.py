@@ -29,8 +29,8 @@ class DomainError(ValueError):
 class FunctionHandle:
     """A real function on [0, 1] with a short label.
 
-    ``deriv`` is an optional analytic derivative; when present it is used by
-    the C^1 Hoelder-norm estimate instead of finite differences.
+    ``deriv`` is an optional analytic derivative, carried for callers;
+    nothing in the package reads it.
     """
 
     eval: Callable

@@ -14,6 +14,10 @@ from . import holder
 CLAMP_TOL = 1e-12
 #: cap on the default error sample count: the pair scan costs m^2/2
 MAX_ERROR_SAMPLES = 4097
+#: node_pair_bounds: relative allowance for the float quotients
+NODE_BOUND_REL = 1e-6
+#: node_pair_bounds: evaluation rounding allowance, in ulps of max|v| / dmin^gamma
+NODE_BOUND_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,14 @@ def clamp_unit(t) -> np.ndarray:
     Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
     further out raises DomainError carrying its index.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.min() < -CLAMP_TOL or ts.max() > 1.0 + CLAMP_TOL:
+    ts = np.array(t, dtype=float, ndmin=1)  # a copy: locate writes into it
+    lo, hi = ts.min(), ts.max()
+    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
         k = int(np.flatnonzero((ts < -CLAMP_TOL) | (ts > 1.0 + CLAMP_TOL))[0])
         raise DomainError(f"t={float(ts[k])!r} outside [0,1]", index=k)
-    return np.clip(ts, 0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(ts, 0.0, 1.0, out=ts)
+    return ts
 
 
 def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
@@ -161,33 +168,82 @@ def measure_interp_error(f, grid: UniformGrid, m: int | None = None,
     return sup_error, hoelder_error
 
 
+def node_pair_bounds(grid: UniformGrid, values, gamma: float, ts) -> np.ndarray:
+    """Upper bounds on the sampled gamma-seminorm of each projection at ts.
+
+    Row k of ``values`` is the nodal data v of a PiecewiseLinear g on
+    ``grid``; entry k bounds ``holder.pairwise_seminorm(ts, g.evaluate(ts),
+    gamma)`` for increasing ``ts``. It is the node-pair seminorm S of v plus
+    a rounding allowance. S is g's seminorm over all of [0,1]^2: for s, t
+    in one cell the quotient is |slope| |s - t|^(1-gamma), largest at the
+    cell's nodes; for t outside the cell of s, |g(s) - g(t)| is convex in s
+    there and |s - t|^gamma positive and concave, so the quotient is
+    quasi-convex in s and peaks at a node. Doing this for s, then for t,
+    reaches a node pair.
+
+    Allowance: in evaluate, t - t_i and t_{i+1} - t_i are exact (Sterbenz),
+    and the hat weight and (1 - w) v_i + w v_{i+1} take a few roundings, so
+    a sample is within a few ulps of max|v| of the exact interpolant and a
+    difference of two within about a dozen; over |s - t|^gamma >= dmin^gamma
+    (dmin the smallest sample spacing) that is far below NODE_BOUND_ULPS
+    ulps of max|v| over dmin^gamma. The ulp (np.spacing) stays positive
+    where eps max|v| would underflow. The quotients' own arithmetic and the
+    float node-pair scan err by a few eps relative, far inside the factor
+    1 + NODE_BOUND_REL.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    node_sem = holder.pairwise_seminorm(grid.nodes, values, gamma)
+    dmin = float(np.diff(ts).min())
+    slack = NODE_BOUND_ULPS * np.spacing(np.abs(values).max(axis=1))
+    return node_sem * (1.0 + NODE_BOUND_REL) + slack / dmin ** gamma
+
+
 def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
                            m: int = holder.DEFAULT_SAMPLES) -> float:
     """Empirical lower bound on ||P_h||: max ratio of sampled gamma-norms.
 
-    Every trial and its projection are sampled first, so one pair scan
-    serves them all.
+    One pair scan serves every trial. A projection is scanned only where it
+    can raise the maximum: its sampled seminorm is at most its
+    ``node_pair_bounds`` entry, so trials go in falling order of
+    (|v_0| + bound) / ||f|| and the scan stops once that ratio cannot exceed
+    the running maximum. Float rounding is monotone, so the result is the
+    full scan's, bit for bit. When grid.n + 1 >= m the node-pair scan would
+    cost more than the sampled one, the bounds are inf and every projection
+    is scanned. A scanned projection above its bound raises RuntimeError:
+    an unsound bound never prunes silently.
     """
     trials = list(trial_functions)
     if not trials:
         raise ValueError("trial set must be nonempty")
     ts = holder.uniform_samples(m)
-    # rows 2i and 2i+1: trial i and its projection
-    vals = np.empty((2 * len(trials), m))
+    vals = np.empty((len(trials), m))
+    projections = []
     for i, f in enumerate(trials):
-        vals[2 * i] = eval_on(f, ts)
-        vals[2 * i + 1] = project(f, grid).evaluate(ts)
+        vals[i] = eval_on(f, ts)
+        projections.append(project(f, grid))
     norms = np.abs(vals[:, 0]) + holder.pairwise_seminorm(ts, vals, gamma)
-    best = 0.0
-    used = 0
-    for f, norm_f, norm_p in zip(trials, norms[0::2], norms[1::2]):
+    for f, norm_f in zip(trials, norms):
         if norm_f <= 0.0:
             warnings.warn(f"skipping zero-norm trial {getattr(f, 'label', f)!r}")
-            continue
-        best = max(best, float(norm_p / norm_f))
-        used += 1
-    if used == 0:
+    live = np.flatnonzero(norms > 0.0)
+    if live.size == 0:
         raise ValueError("all trial functions had zero sampled norm")
+    nodal = np.stack([projections[i].values for i in live])
+    bounds = (node_pair_bounds(grid, nodal, gamma, ts) if grid.n + 1 < m
+              else np.full(live.size, np.inf))
+    reach = (np.abs(nodal[:, 0]) + bounds) / norms[live]
+    best = 0.0
+    for k in np.argsort(-reach, kind="stable"):
+        if reach[k] <= best:
+            break
+        i = live[k]
+        pv = projections[i].evaluate(ts)
+        sem = holder.pairwise_seminorm(ts, pv, gamma)
+        if sem > bounds[k]:
+            raise RuntimeError(
+                f"projection of trial {getattr(trials[i], 'label', trials[i])!r} has "
+                f"sampled seminorm {sem!r} above its node-pair bound {bounds[k]!r}")
+        best = max(best, float((abs(pv[0]) + sem) / norms[i]))
     return best
 
 

@@ -5,9 +5,18 @@ lower bounds on the true norms. The pair scan visits each unordered pair
 once, in row blocks of bounded size, so its memory grows only linearly in
 the sample count. It takes several functions sampled on the same points at
 once and builds each block's distances |t_i - t_j|^gamma once for all of
-them; the projector-norm study, the certificate's two Lipschitz norms and
-the product bound scan that way. Checks report (lhs, rhs, margin) instead
-of a bare boolean so near-equality cases stay diagnosable.
+them; the projector-norm study and the product bound scan that way.
+
+Two shortcuts skip pairs that cannot change a result. The Lipschitz norms
+take only adjacent samples: a chord slope over sorted samples is a weighted
+mean of the adjacent slopes it spans, so the largest adjacent slope is the
+pair maximum in exact arithmetic (in floats it is never above the pair scan,
+whose own adjacent quotients it is, and within a few ulps of it). The
+projector-norm study (``grids.measure_projector_norm``) bounds a
+piecewise-linear function's sampled seminorm by its node-pair seminorm and
+scans a projection only when that bound could raise the maximum. Checks
+report (lhs, rhs, margin) instead of a bare boolean so near-equality cases
+stay diagnosable.
 """
 from __future__ import annotations
 
@@ -16,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionHandle, eval_on
+from .functions import eval_on
 
 DEFAULT_SAMPLES = 513
 #: pairs closer than this are skipped (0/0 quotient)
 MIN_PAIR_SEPARATION = 1e-14
 #: rows of the pair scan compared at once against the columns to their right
 PAIR_BLOCK_ROWS = 64
-#: finite-difference step for derivative estimation
-FD_STEP = 1e-6
 
 
 def uniform_samples(m: int) -> np.ndarray:
@@ -119,28 +126,17 @@ def estimate_lipschitz_norm(f, m: int = DEFAULT_SAMPLES) -> float:
 
 
 def estimate_lipschitz_norms(fs, m: int = DEFAULT_SAMPLES) -> list[float]:
-    """|f(0)| plus the Lipschitz seminorm of each f, all in one pair scan."""
+    """|f(0)| plus the Lipschitz seminorm of each f: the largest adjacent slope.
+
+    The pair scan's own adjacent quotients, so never above
+    ``pairwise_seminorm(ts, vals, 1.0)``, and equal to it in exact
+    arithmetic (module docstring).
+    """
     ts = uniform_samples(m)
     vals = np.stack([eval_on(f, ts) for f in fs])
-    return [float(n) for n in np.abs(vals[:, 0]) + pairwise_seminorm(ts, vals, 1.0)]
-
-
-def estimate_c1_hoelder_norm(f, gamma: float, m: int = DEFAULT_SAMPLES) -> float:
-    """Norm of the derivative, ||f'||_gamma.
-
-    Uses the handle's analytic derivative when present, otherwise central
-    differences at step FD_STEP (clamped so stencils stay inside [0, 1]).
-    """
-    _check_gamma(gamma)
-    deriv = getattr(f, "deriv", None)
-    if deriv is not None:
-        d = FunctionHandle(eval=deriv, label=f"{getattr(f, 'label', 'f')}'")
-        return estimate_hoelder_norm(d, gamma, m).norm
-    ts = uniform_samples(m)
-    tc = np.clip(ts, FD_STEP, 1.0 - FD_STEP)
-    dvals = (eval_on(f, tc + FD_STEP) - eval_on(f, tc - FD_STEP)) / (2.0 * FD_STEP)
-    sem = pairwise_seminorm(ts, dvals, gamma)
-    return abs(float(dvals[0])) + sem
+    slopes = np.abs(np.diff(vals, axis=1))
+    slopes /= np.diff(ts)
+    return [float(n) for n in np.abs(vals[:, 0]) + slopes.max(axis=1)]
 
 
 def check_embedding_inequality(f, gamma: float, beta: float,

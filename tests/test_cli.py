@@ -159,6 +159,13 @@ def test_interp_check(capsys):
     assert out.count("PASS") == 2
 
 
+def test_interp_check_failed_bound_is_numerical(monkeypatch, capsys):
+    monkeypatch.setattr(grids, "measure_projector_norm", lambda *a, **k: 10.0)
+    code, out, _ = run(["interp-check", "--trials", "2", "--samples", "65"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "FAIL" in out
+
+
 # ---------------------------------------------------------------------------
 # config files and custom problems
 # ---------------------------------------------------------------------------

@@ -64,6 +64,36 @@ def test_domain_clamping_and_error():
         u.evaluate(-0.001)
 
 
+@pytest.mark.parametrize("t, bad", [
+    (np.array([0.0, 0.25, 1.0]), None),
+    (np.array([0.5, 1.0 + 5e-13, -5e-13]), None),
+    (np.array([0.5, -5e-13, 1.001, -0.001]), 2),
+    (np.array([-1e-3, 0.5]), 0),
+    (0.75, None),
+    (1.0 + 5e-13, None),
+    (-1e-3, 0),
+])
+def test_clamp_unit_values_and_error_index(t, bad):
+    if bad is None:
+        out = grids.clamp_unit(t)
+        np.testing.assert_array_equal(out, np.clip(np.atleast_1d(t), 0.0, 1.0))
+        assert out.shape == np.atleast_1d(t).shape and out.dtype == float
+    else:
+        with pytest.raises(grids.DomainError) as exc:
+            grids.clamp_unit(t)
+        assert exc.value.index == bad
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 9), np.array([0.5, 1.0 + 5e-13])])
+def test_clamp_unit_never_aliases_input(t):
+    # locate writes the hat weights into clamp_unit's result
+    before = t.copy()
+    out = grids.clamp_unit(t)
+    assert not np.shares_memory(out, t)
+    grids.locate(grids.UniformGrid(3), t)
+    np.testing.assert_array_equal(t, before)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_locate_matches_searchsorted(data):
@@ -210,6 +240,86 @@ def test_projector_norm_matches_per_trial_loop(gamma):
     assert ratio == expected
     assert [str(w.message) for w in batched] == [str(w.message) for w in reference]
     assert "zero-a" in str(batched[0].message) and "zero-b" in str(batched[1].message)
+
+
+def _pwl_trials(rng, count):
+    """Random piecewise-linear trials on grids of their own, values of mixed scale."""
+    trials = []
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        values = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+        trials.append(grids.PiecewiseLinear(grid=grids.UniformGrid(n), values=values))
+    return trials
+
+
+@pytest.mark.parametrize("gamma, n, m, kind", [
+    (0.5, 7, 513, "cusp"),    # nodes between the samples
+    (0.5, 8, 9, "cusp"),      # N + 1 >= m: every projection is scanned
+    (0.25, 64, 17, "cusp"),
+    (1.0, 8, 513, "cusp"),
+    (0.75, 33, 257, "cusp"),  # the first trial scanned is not the maximum
+    (0.5, 8, 257, "pwl"),
+    (1.0, 7, 513, "pwl"),
+])
+def test_projector_norm_matches_reference(gamma, n, m, kind):
+    rng = np.random.default_rng(5)
+    trials = (grids.random_cusp_trials(rng, 30, gamma) if kind == "cusp"
+              else _pwl_trials(rng, 30))
+    grid = grids.UniformGrid(n)
+    assert grids.measure_projector_norm(gamma, grid, trials, m=m) == \
+        projector_norm_reference(gamma, grid, trials, m=m)
+
+
+def test_projector_norm_scans_only_projections_that_can_win(monkeypatch):
+    scans = []
+    scan = grids.holder.pairwise_seminorm
+
+    def counted(ts, vals, gamma):
+        if np.ndim(vals) == 1:  # one projection's samples
+            scans.append(len(ts))
+        return scan(ts, vals, gamma)
+
+    monkeypatch.setattr(grids.holder, "pairwise_seminorm", counted)
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 50, 0.5)
+    grids.measure_projector_norm(0.5, grids.UniformGrid(8), trials)
+    assert 1 <= len(scans) <= 5
+    scans.clear()
+    # N + 1 >= m: the bounds are inf and the same loop scans all 50
+    grids.measure_projector_norm(0.5, grids.UniformGrid(8), trials, m=9)
+    assert len(scans) == 50
+
+
+def test_projector_norm_unsound_bound_raises(monkeypatch):
+    bounds = grids.node_pair_bounds
+    monkeypatch.setattr(grids, "node_pair_bounds",
+                        lambda *args: 0.5 * bounds(*args))
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 10, 0.5)
+    with pytest.raises(RuntimeError, match="above its node-pair bound"):
+        grids.measure_projector_norm(0.5, grids.UniformGrid(8), trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64),
+       gamma=st.one_of(st.sampled_from([0.5, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True)),
+       scale=st.sampled_from([1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+       offset=st.sampled_from([0.0, 1.0, 1e4]))
+def test_node_pair_bound_is_sound(data, n, gamma, scale, offset):
+    on_nodes = data.draw(st.booleans(), label="nodes on samples")
+    if on_nodes:
+        m = n * data.draw(st.integers(1, max(1, 599 // n)), label="per cell") + 1
+    else:
+        m = data.draw(st.integers(2, 600), label="m")
+    raw = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1),
+                    label="values")
+    values = scale * (offset + np.array(raw))
+    grid = grids.UniformGrid(n)
+    ts = grids.holder.uniform_samples(m)
+    sampled = grids.holder.pairwise_seminorm(
+        ts, grids.PiecewiseLinear(grid=grid, values=values).evaluate(ts), gamma)
+    bound = grids.node_pair_bounds(grid, values, gamma, ts)
+    assert bound.shape == (1,)
+    assert sampled <= bound[0]
 
 
 def test_projector_norm_skips_zero_trials():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from nfeq import holder
 from nfeq.functions import FunctionHandle, constant, identity
+from nfeq.grids import PiecewiseLinear, UniformGrid
 from nfeq.oracles import cusp_solution
+from nfeq.problem import paradise_fish, section5
 
 from helpers import poly_handle, random_function
 
@@ -70,17 +72,6 @@ def test_lipschitz_norm_affine():
     alpha = 0.3
     f = FunctionHandle(eval=lambda t: alpha * np.asarray(t, float) + 1 - alpha)
     assert holder.estimate_lipschitz_norm(f) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_c1_norm_uses_analytic_derivative():
-    f = FunctionHandle(eval=lambda t: np.asarray(t, float) ** 2,
-                       deriv=lambda t: 2.0 * np.asarray(t, float))
-    assert holder.estimate_c1_hoelder_norm(f, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_c1_norm_finite_differences():
-    f = FunctionHandle(eval=lambda t: np.asarray(t, float) ** 2)
-    assert holder.estimate_c1_hoelder_norm(f, 1.0) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_gamma_validation():
@@ -165,6 +156,34 @@ def test_lipschitz_norms_match_one_at_a_time():
     fs = [poly_handle([0.3, -0.2, 0.7]), cusp_solution(0.5), identity()]
     assert holder.estimate_lipschitz_norms(fs, 257) == \
         [holder.estimate_hoelder_norm(f, 1.0, 257).norm for f in fs]
+
+
+@pytest.mark.parametrize("m", [101, 513, 2049, 4097])
+def test_lipschitz_norms_equal_pair_scan_on_affine_delays(m):
+    # the four affine delays of the certified families
+    fs = [p.phi1 for p in (paradise_fish(0.05, 0.2), section5(0.02, 0.5))] + \
+         [p.phi2 for p in (paradise_fish(0.05, 0.2), section5(0.02, 0.5))]
+    ts = holder.uniform_samples(m)
+    vals = np.stack([f(ts) for f in fs])
+    pair = np.abs(vals[:, 0]) + holder.pairwise_seminorm(ts, vals, 1.0)
+    assert holder.estimate_lipschitz_norms(fs, m) == [float(p) for p in pair]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(2, 600),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_lipschitz_norms_adjacent_within_ulps_of_pair_scan(data, m, scale):
+    # steps in multiples of 1e-6 keep every slope clear of subnormal rounding
+    steps = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=m - 1,
+                               max_size=m - 1), label="steps")
+    start = data.draw(st.floats(-1.0, 1.0), label="start")
+    walk = scale * (start + 1e-6 * np.concatenate(([0.0], np.cumsum(steps))))
+    # a PiecewiseLinear on m - 1 cells reproduces the walk at the m samples
+    f = PiecewiseLinear(grid=UniformGrid(m - 1), values=walk)
+    ts = holder.uniform_samples(m)
+    adjacent = holder.estimate_lipschitz_norms([f], m)[0]
+    pair = abs(walk[0]) + holder.pairwise_seminorm(ts, walk, 1.0)
+    assert adjacent <= pair <= adjacent * (1.0 + 1e-14)
 
 
 # ---------------------------------------------------------------------------

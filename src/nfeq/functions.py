@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,15 +27,10 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """A real function on [0, 1] with a short label.
-
-    ``deriv`` is an optional analytic derivative, carried for callers;
-    nothing in the package reads it.
-    """
+    """A real function on [0, 1] with a short label."""
 
     eval: Callable
     label: str = "f"
-    deriv: Optional[Callable] = None
 
     def __call__(self, t):
         return self.eval(t)
@@ -53,14 +48,12 @@ def constant(c: float, label: str | None = None) -> FunctionHandle:
     return FunctionHandle(
         eval=lambda t: np.full_like(np.asarray(t, dtype=float), c) if np.ndim(t) else c,
         label=label or f"const({c:g})",
-        deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0,
     )
 
 
 def identity(label: str = "t") -> FunctionHandle:
     return FunctionHandle(eval=lambda t: np.asarray(t, dtype=float) if np.ndim(t) else float(t),
-                          label=label,
-                          deriv=lambda t: np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0)
+                          label=label)
 
 
 def eval_on(f, ts) -> np.ndarray:

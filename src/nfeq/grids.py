@@ -12,7 +12,8 @@ from . import holder
 
 #: slop for clamping arguments that leave [0,1] by rounding only
 CLAMP_TOL = 1e-12
-#: cap on the default error sample count: the pair scan costs m^2/2
+#: cap on the default error sample count (the pair scan prunes most pairs
+#: of smooth errors, but scans every pair of a tied one)
 MAX_ERROR_SAMPLES = 4097
 #: node_pair_bounds: relative allowance for the float quotients
 NODE_BOUND_REL = 1e-6

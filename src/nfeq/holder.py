@@ -1,22 +1,69 @@
 """Sampled Hoelder-space norms and the certified inequalities behind them.
 
 All estimates are pairwise maxima over finite sample sets and therefore
-lower bounds on the true norms. The pair scan visits each unordered pair
-once, in row blocks of bounded size, so its memory grows only linearly in
-the sample count. It takes several functions sampled on the same points at
-once and builds each block's distances |t_i - t_j|^gamma once for all of
-them; the projector-norm study and the product bound scan that way.
+lower bounds on the true norms. ``pairwise_seminorm`` takes one or several
+functions sampled on the same points and returns, for each, the maximum of
+|v_i - v_j| / |t_i - t_j|^gamma over all pairs: bit for bit what a scan of
+every pair returns, from a small fraction of the pairs.
 
-Two shortcuts skip pairs that cannot change a result. The Lipschitz norms
-take only adjacent samples: a chord slope over sorted samples is a weighted
-mean of the adjacent slopes it spans, so the largest adjacent slope is the
-pair maximum in exact arithmetic (in floats it is never above the pair scan,
-whose own adjacent quotients it is, and within a few ulps of it). The
-projector-norm study (``grids.measure_projector_norm``) bounds a
-piecewise-linear function's sampled seminorm by its node-pair seminorm and
-scans a projection only when that bound could raise the maximum. Checks
-report (lhs, rhs, margin) instead of a bare boolean so near-equality cases
-stay diagnosable.
+It is a branch-and-bound over tiles I x J, pairs of blocks of the sorted
+samples (Lipschitz branch-and-bound, Shubert 1972, run over pairs of blocks
+as in dual-tree algorithms). Dyadic blocks of TILE_LEAF samples and up carry
+their value range (min, max and the first samples reaching them) and their
+largest adjacent slope. For 0 < gamma <= 1 every pair (a, b) of a tile obeys
+two bounds, and the tile's bound is the smaller:
+
+- oscillation: with g = t_first(J) - t_last(I), the gap from I to J,
+  |v_a - v_b| / |t_a - t_b|^gamma <= max(max_J v - min_I v, max_I v -
+  min_J v) / g^gamma. Scanned pairs are at least MIN_PAIR_SEPARATION apart,
+  so g is taken no smaller, which makes the bound hold for I = J too;
+- Lipschitz, for J = I or J the block after I: a chord of sorted samples is
+  the sum of the adjacent steps it spans, so with L their largest slope and
+  s the span of I u J, |v_a - v_b| <= L |t_a - t_b| and the quotient is at
+  most L s^(1 - gamma). It is the only bound that prunes next to the
+  diagonal, where g is one sample spacing.
+
+Each function's running maximum starts at its adjacent-pair quotients. At
+every level each live tile adds its witness pairs (first of I, last of J),
+(argmax of I, argmin of J) and (argmin of I, argmax of J), computed by the
+scan's own float steps (``_pair_distances``, ``_divide``), so the running
+maximum is always a member of the maximum. A tile is dropped where its
+bound is <= the running maximum, and the rest split in four (less the
+children below the diagonal). Refinement starts from all pairs of the top
+level's at most TOP_BLOCKS blocks. The leaf tiles left are gathered and
+scanned LEAF_CHUNK at a time.
+
+Why pruning cannot change the float maximum: the bounds hold for exact
+quotients, while the scan and the bounds compute in floats, each step
+correctly rounded (numpy's power to a few ulps), except that a product or a
+quotient that underflows errs by up to half the least subnormal instead. So
+a scanned quotient exceeds its exact value, and a float bound falls short of
+its exact one, by less than a relative 32 eps plus a few such halves. Each
+bound is multiplied by 1 + BOUND_REL (1e-9) and raised by BOUND_ULPS ulps
+(np.spacing, at least the least subnormal, where a relative allowance alone
+would underflow to 0); the adjacent slopes get the same allowance before
+the Lipschitz bound multiplies them by s^(1 - gamma), which could scale up
+their underflow error. Every quotient of a dropped tile is then <= a member
+of the maximum. A NaN or infinite bound never drops a tile.
+
+Ties keep tiles whose quotients equal the maximum up to rounding. Two cases
+stay cheap: a tile of one value has only zero quotients and is dropped
+outright, and a function whose adjacent pairs already reach the bound of
+all its pairs within TIE_REL (affine data at gamma = 1, where every chord
+ties) is scanned whole, as are all functions for an exponent outside (0, 1],
+where the bounds fail, and the functions still live once a level would pass
+MAX_LIVE_TILES tiles (which bounds memory). Scanning whole is the plain
+row-block scan: PAIR_BLOCK_ROWS rows against the columns to their right,
+each block's distances shared by the functions scanned.
+
+The Lipschitz norms take only adjacent samples: by the Lipschitz bound the
+largest adjacent slope is the pair maximum in exact arithmetic (in floats
+it is never above the pair scan, whose own adjacent quotients it is, and
+within a few ulps of it). The projector-norm study
+(``grids.measure_projector_norm``) bounds a piecewise-linear function's
+sampled seminorm by its node-pair seminorm and scans a projection only when
+that bound could raise the maximum. Checks report (lhs, rhs, margin)
+instead of a bare boolean so near-equality cases stay diagnosable.
 """
 from __future__ import annotations
 
@@ -30,8 +77,23 @@ from .functions import eval_on
 DEFAULT_SAMPLES = 513
 #: pairs closer than this are skipped (0/0 quotient)
 MIN_PAIR_SEPARATION = 1e-14
-#: rows of the pair scan compared at once against the columns to their right
+#: rows of the row-block scan compared at once against the columns to their right
 PAIR_BLOCK_ROWS = 64
+#: samples per leaf block of the tile branch-and-bound
+TILE_LEAF = 8
+#: most blocks of the top level, whose block pairs are the first tiles
+TOP_BLOCKS = 8
+#: most tiles one level may split into; past it the functions still live
+#: are scanned whole
+MAX_LIVE_TILES = 1 << 16
+#: leaf tiles gathered at once by the leaf scan
+LEAF_CHUNK = 512
+#: tile bounds: relative allowance for the float rounding (module docstring)
+BOUND_REL = 1e-9
+#: tile bounds: underflow allowance, in ulps of the bound
+BOUND_ULPS = 4
+#: a function whose adjacent pairs reach its all-pairs bound within this is tied
+TIE_REL = 1e-6
 
 
 def uniform_samples(m: int) -> np.ndarray:
@@ -40,15 +102,39 @@ def uniform_samples(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
+def _pair_distances(dt: np.ndarray, gamma: float) -> np.ndarray:
+    """t_i - t_j in place to |t_i - t_j|^gamma, skipped pairs to inf."""
+    np.abs(dt, out=dt)
+    # skipped pairs get quotient 0: dv / inf
+    dt[dt < MIN_PAIR_SEPARATION] = np.inf
+    dt **= gamma  # the operator keeps numpy's sqrt fast path for 0.5
+    return dt
+
+
+def _divide(dv: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """v_i - v_j in place to the quotient |v_i - v_j| / dt."""
+    np.abs(dv, out=dv)
+    dv /= dt
+    return dv
+
+
+def _allow(bound: np.ndarray) -> np.ndarray:
+    """bound (1 + BOUND_REL) + BOUND_ULPS ulps: the float allowance."""
+    out = bound * (1.0 + BOUND_REL)
+    out += BOUND_ULPS * np.spacing(bound)
+    return out
+
+
 def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float):
     """max over sample pairs of |v_i - v_j| / |t_i - t_j|^gamma.
 
     ``vals`` is one function's samples, shape (m,), giving a float, or K
     functions sampled on the same points, shape (K, m), giving K maxima.
-    Scans each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows
-    [lo, hi) meet columns lo: only, since |a - b| == |b - a| exactly. Each
-    block's distances |t_i - t_j|^gamma are built once and shared by the K
-    rows, in two reused block buffers whatever K is.
+    The points need not be sorted or distinct; pairs closer than
+    MIN_PAIR_SEPARATION are skipped. For finite samples the result equals
+    a scan of every pair, bit for bit, by the tile branch-and-bound of the
+    module docstring: the points are sorted once (which leaves the set of
+    pair quotients unchanged), and memory stays linear in K m.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -57,25 +143,205 @@ def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float):
     if vals.ndim > 2 or rows.shape[1] != m:
         raise ValueError(f"vals of shape {vals.shape} do not match {m} sample points")
     best = np.zeros(rows.shape[0])
+    if m > 1:
+        t, v = ts, rows
+        if np.any(ts[1:] < ts[:-1]):
+            order = np.argsort(ts, kind="stable")
+            t, v = ts[order], rows[:, order]
+        dt = _pair_distances(t[1:] - t[:-1], gamma)
+        best = _divide(v[:, 1:] - v[:, :-1], dt).max(axis=1)
+        whole = np.arange(best.size)  # no bound holds outside (0, 1]
+        if 0.0 < gamma <= 1.0:
+            # bounds may be inf or NaN (duplicate points), which keeps tiles
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                whole, leaves = _refine(t, v, gamma, best)
+            _scan_leaves(t, v, gamma, best, *leaves)
+        _scan_rows(t, v, gamma, best, whole)
+    return float(best[0]) if vals.ndim < 2 else best
+
+
+def _block_levels(v: np.ndarray, slopes: np.ndarray) -> list:
+    """Per dyadic level, from TILE_LEAF samples up to at most TOP_BLOCKS blocks.
+
+    ``slopes`` are the allowed adjacent slopes, slopes[:, i] from sample i
+    to i + 1. Each level is (vmin, vmax, amin, amax, lip_in, lip_out), flat
+    over (function k, block b) at k * width + b: the block's value range,
+    the first sample indices reaching it, and its largest adjacent slope
+    inside the block (lip_in) or including the step to the next block
+    (lip_out). A lone last block gets an empty sibling, which never wins a
+    min, a max or a slope.
+    """
+    k, m = v.shape
+    width = -(-m // TILE_LEAF)
+    # leaves as (offset in block, function, block): reductions over offsets
+    # run along contiguous rows; copies of the last sample fill the last leaf
+    vt = np.empty((k, width * TILE_LEAF))
+    vt[:, :m] = v
+    vt[:, m:] = v[:, m - 1:]
+    vt = vt.reshape(k, width, TILE_LEAF).transpose(2, 0, 1).copy()
+    st = np.zeros((k, width * TILE_LEAF))
+    st[:, :m - 1] = slopes
+    st = st.reshape(k, width, TILE_LEAF).transpose(2, 0, 1).copy()
+    vmin, vmax = vt.min(axis=0), vt.max(axis=0)
+    amin = np.zeros((k, width), np.intp)
+    amax = np.zeros((k, width), np.intp)
+    for off in range(TILE_LEAF - 1, -1, -1):
+        amin[vt[off] == vmin] = off
+        amax[vt[off] == vmax] = off
+    first = np.arange(0, width * TILE_LEAF, TILE_LEAF)
+    level = (vmin, vmax, amin + first, amax + first, st[:-1].max(axis=0), st.max(axis=0))
+    levels = [tuple(a.ravel() for a in level)]
+    while width > TOP_BLOCKS:
+        if width % 2:
+            level = tuple(np.concatenate((a, np.full((k, 1), c, a.dtype)), axis=1)
+                          for a, c in zip(level, (np.inf, -np.inf, 0, 0, 0.0, 0.0)))
+        vmin, vmax, amin, amax, lip_in, lip_out = level
+        left, right = np.s_[:, 0::2], np.s_[:, 1::2]
+        lo = vmin[left] <= vmin[right]
+        hi = vmax[left] >= vmax[right]
+        level = (np.where(lo, vmin[left], vmin[right]),
+                 np.where(hi, vmax[left], vmax[right]),
+                 np.where(lo, amin[left], amin[right]),
+                 np.where(hi, amax[left], amax[right]),
+                 np.maximum(lip_out[left], lip_in[right]),
+                 np.maximum(lip_out[left], lip_out[right]))
+        width = level[0].shape[1]
+        levels.append(tuple(a.ravel() for a in level))
+    return levels
+
+
+def _allowed_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v_{i+1} - v_i| / (t_{i+1} - t_i) per function, with the float allowance."""
+    slopes = np.abs(np.diff(v, axis=1))
+    slopes /= np.diff(t)
+    return _allow(slopes)
+
+
+def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
+                 ti: np.ndarray, tj: np.ndarray, gamma: float) -> tuple:
+    """Allowed bounds on the quotients of the tiles (k, i, j) and their oscillations.
+
+    ``level`` is the ``_block_levels`` level of blocks of ``size`` samples;
+    the bounds are those of the module docstring.
+    """
+    vmin, vmax, _, _, lip_in, lip_out = level
+    m = t.size
+    width = -(-m // size)
+    first = np.arange(0, m, size)
+    last = np.minimum(first + size, m) - 1
+    ii, jj = tk * width + ti, tk * width + tj
+    osc = np.maximum(vmax[jj] - vmin[ii], vmax[ii] - vmin[jj])
+    gap = t[first[tj]] - t[last[ti]]
+    np.maximum(gap, MIN_PAIR_SEPARATION, out=gap)
+    bound = osc / gap ** gamma
+    lip = np.maximum(np.where(ti == tj, lip_in[ii], lip_out[ii]), lip_in[jj])
+    lip *= (t[last[tj]] - t[first[ti]]) ** (1.0 - gamma)
+    np.minimum(bound, lip, out=bound, where=tj - ti <= 1)
+    return _allow(bound), osc
+
+
+def _refine(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray) -> tuple:
+    """Refine tiles from the top level down, raising best by their witnesses.
+
+    Returns the functions to scan whole and the leaf tiles left, (k, i, j).
+    """
+    k, m = v.shape
+    slopes = _allowed_slopes(t, v)
+    # the bound of all pairs: where the adjacent pairs already reach it, the
+    # function is tied (module docstring) and scanned whole
+    root = _allow(slopes.max(axis=1) * (t[-1] - t[0]) ** (1.0 - gamma))
+    whole = ~(root > best * (1.0 + TIE_REL))
+    tk = np.flatnonzero(~whole)
+    if not tk.size:
+        return np.flatnonzero(whole), (tk, tk, tk)
+    flat = v.ravel()
+    levels = _block_levels(v, slopes)
+    # every pair of the top level's blocks
+    ti, tj = np.triu_indices(levels[-1][0].size // k)
+    tk, ti, tj = np.repeat(tk, ti.size), np.tile(ti, tk.size), np.tile(tj, tk.size)
+    for lev in range(len(levels) - 1, -1, -1):
+        size = TILE_LEAF << lev
+        bound, osc = _tile_bounds(t, levels[lev], size, tk, ti, tj, gamma)
+        # a tile of one value has only zero quotients
+        keep = ~(bound <= best[tk]) & (osc != 0.0)
+        tk, ti, tj, bound = tk[keep], ti[keep], tj[keep], bound[keep]
+        # witnesses, by the scan's own float steps
+        _, _, amin, amax, _, _ = levels[lev]
+        width = amin.size // k
+        ii, jj = tk * width + ti, tk * width + tj
+        a = np.concatenate((ti * size, amax[ii], amin[ii]))
+        b = np.concatenate((np.minimum(tj * size + size, m) - 1, amin[jj], amax[jj]))
+        wk = np.tile(tk, 3)
+        w = _divide(flat[wk * m + a] - flat[wk * m + b],
+                    _pair_distances(t[a] - t[b], gamma))
+        np.maximum.at(best, wk, w)
+        keep = ~(bound <= best[tk])
+        tk, ti, tj = tk[keep], ti[keep], tj[keep]
+        if lev == 0 or not tk.size:
+            return np.flatnonzero(whole), (tk, ti, tj)
+        if 4 * tk.size > MAX_LIVE_TILES:
+            # memory: the functions still live are scanned whole
+            whole[tk] = True
+            return np.flatnonzero(whole), (tk[:0], ti[:0], tj[:0])
+        # four children each, less those below the diagonal or past the end
+        tk = np.repeat(tk, 4)
+        ti = (2 * ti[:, None] + (0, 0, 1, 1)).ravel()
+        tj = (2 * tj[:, None] + (0, 1, 0, 1)).ravel()
+        real = (ti <= tj) & (tj < -(-m // (size // 2)))
+        tk, ti, tj = tk[real], ti[real], tj[real]
+
+
+def _scan_leaves(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray,
+                 tk: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> None:
+    """Raise best by every pair of the leaf tiles (k, i, j), LEAF_CHUNK at a time.
+
+    Each tile's TILE_LEAF x TILE_LEAF pairs are gathered from the padded
+    samples: row points past the end are +inf and column points -inf, so
+    every pair with one of them is at distance inf and gets quotient 0.
+    """
+    if not tk.size:
+        return
+    k, m = v.shape
+    width = -(-m // TILE_LEAF)
+    rows_t = np.full(width * TILE_LEAF, np.inf)
+    rows_t[:m] = t
+    cols_t = -rows_t
+    cols_t[:m] = t
+    vp = np.zeros((k, width * TILE_LEAF))
+    vp[:, :m] = v
+    rows_t, cols_t = rows_t.reshape(width, -1), cols_t.reshape(width, -1)
+    vp = vp.reshape(k, width, -1)
+    for c in range(0, tk.size, LEAF_CHUNK):
+        ck, ci, cj = tk[c:c + LEAF_CHUNK], ti[c:c + LEAF_CHUNK], tj[c:c + LEAF_CHUNK]
+        dt = _pair_distances(rows_t[ci][:, :, None] - cols_t[cj][:, None, :], gamma)
+        q = _divide(vp[ck, ci][:, :, None] - vp[ck, cj][:, None, :], dt)
+        np.maximum.at(best, ck, q.max(axis=(1, 2)))
+
+
+def _scan_rows(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray,
+               ks: np.ndarray) -> None:
+    """Raise best by every pair of the functions ks: the plain row-block scan.
+
+    Each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows [lo, hi)
+    meet columns lo: only, since |a - b| == |b - a| exactly. Each block's
+    distances are built once and shared by the functions, in two reused
+    block buffers whatever their number.
+    """
+    if not ks.size:
+        return
+    m = t.size
     width = min(PAIR_BLOCK_ROWS, m)
     dt_buf, dv_buf = np.empty(width * m), np.empty(width * m)
     for lo in range(0, m, PAIR_BLOCK_ROWS):
         hi = min(lo + PAIR_BLOCK_ROWS, m)
         shape = (hi - lo, m - lo)
         size = shape[0] * shape[1]
-        dt = np.subtract(ts[lo:hi, None], ts[None, lo:],
-                         out=dt_buf[:size].reshape(shape))
-        np.abs(dt, out=dt)
-        # skipped pairs get quotient 0: dv / inf
-        dt[dt < MIN_PAIR_SEPARATION] = np.inf
-        dt **= gamma  # the operator keeps numpy's sqrt fast path for 0.5
+        dt = _pair_distances(np.subtract(t[lo:hi, None], t[None, lo:],
+                                         out=dt_buf[:size].reshape(shape)), gamma)
         dv = dv_buf[:size].reshape(shape)
-        for k, v in enumerate(rows):
-            np.subtract(v[lo:hi, None], v[None, lo:], out=dv)
-            np.abs(dv, out=dv)
-            dv /= dt
-            best[k] = max(best[k], dv.max())
-    return float(best[0]) if vals.ndim < 2 else best
+        for k in ks.tolist():
+            np.subtract(v[k, lo:hi, None], v[k, None, lo:], out=dv)
+            best[k] = max(best[k], _divide(dv, dt).max())
 
 
 @dataclass(frozen=True)

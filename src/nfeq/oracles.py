@@ -64,8 +64,7 @@ def cusp_solution(gamma: float) -> FunctionHandle:
 
 def smooth_parabola() -> FunctionHandle:
     return FunctionHandle(eval=lambda t: np.asarray(t, dtype=float) * (1.0 - np.asarray(t, dtype=float)),
-                          label="t(1-t)",
-                          deriv=lambda t: 1.0 - 2.0 * np.asarray(t, dtype=float))
+                          label="t(1-t)")
 
 
 @dataclass(frozen=True)

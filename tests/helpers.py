@@ -105,6 +105,32 @@ def grid_picard_reference(p, grid, f0, tol: float, max_iter: int):
     return values, increments
 
 
+def row_block_seminorm(ts, vals, gamma):
+    """The plain row-block pair scan: the reference for ``holder.pairwise_seminorm``.
+
+    Scans each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows
+    [lo, hi) meet columns lo: only. Each block's distances |t_i - t_j|^gamma
+    are built once and shared by the K rows of ``vals`` (shape (m,) or
+    (K, m)); pairs closer than MIN_PAIR_SEPARATION get quotient 0.
+    """
+    ts = np.asarray(ts, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    rows = np.atleast_2d(vals)
+    m = ts.size
+    best = np.zeros(rows.shape[0])
+    step = holder.PAIR_BLOCK_ROWS
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        dt = np.abs(ts[lo:hi, None] - ts[None, lo:])
+        dt[dt < holder.MIN_PAIR_SEPARATION] = np.inf
+        dt **= gamma
+        for k, v in enumerate(rows):
+            dv = np.abs(v[lo:hi, None] - v[None, lo:])
+            dv /= dt
+            best[k] = max(best[k], dv.max())
+    return float(best[0]) if vals.ndim < 2 else best
+
+
 def projector_norm_reference(gamma, grid, trials, m=holder.DEFAULT_SAMPLES):
     """One pair scan per trial and per projection, trial after trial.
 

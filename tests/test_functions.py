@@ -22,14 +22,12 @@ def test_constant_handle():
     c = constant(3.5)
     assert c(0.2) == 3.5
     assert np.all(eval_on(c, np.linspace(0, 1, 5)) == 3.5)
-    assert c.deriv(0.3) == 0.0
 
 
 def test_identity_handle():
     i = identity()
     ts = np.linspace(0, 1, 7)
     assert np.array_equal(eval_on(i, ts), ts)
-    assert i.deriv(0.5) == 1.0
 
 
 def test_eval_on_scalar_fallback():

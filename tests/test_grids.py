@@ -270,6 +270,17 @@ def test_projector_norm_matches_reference(gamma, n, m, kind):
         projector_norm_reference(gamma, grid, trials, m=m)
 
 
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_projector_norm_is_one_on_nodes_among_samples(gamma):
+    # interpolation at nodes that are samples never raises the sampled
+    # gamma-norm: |P_h f(0)| = |f(0)| and the node-pair seminorm of P_h f is
+    # one of f's own sampled quotients, so ||P_h|| measures 1
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 50, gamma)
+    for n in (1, 2, 4, 8, 16, 64, 128, 512):
+        assert grids.measure_projector_norm(gamma, grids.UniformGrid(n), trials,
+                                            m=513) <= 1.0 + 1e-12
+
+
 def test_projector_norm_scans_only_projections_that_can_win(monkeypatch):
     scans = []
     scan = grids.holder.pairwise_seminorm

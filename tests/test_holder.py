@@ -12,7 +12,7 @@ from nfeq.grids import PiecewiseLinear, UniformGrid
 from nfeq.oracles import cusp_solution
 from nfeq.problem import paradise_fish, section5
 
-from helpers import poly_handle, random_function
+from helpers import poly_handle, random_function, row_block_seminorm
 
 
 def sqrt_handle():
@@ -91,29 +91,143 @@ def _full_scan_seminorm(ts, vals, gamma):
     return float((dv[keep] / dt[keep] ** gamma).max(initial=0.0))
 
 
-@settings(max_examples=60, deadline=None)
+def _sample_row(data, ts, label):
+    """One row of samples: random, constant, affine (ties at gamma = 1), or tiny."""
+    m = ts.size
+    kind = data.draw(st.sampled_from(["random", "constant", "affine", "tiny"]), label=label)
+    if kind == "constant":
+        return np.full(m, data.draw(st.floats(-1e3, 1e3), label=f"{label} value"))
+    if kind == "affine":
+        a, b = data.draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                         label=f"{label} coefficients")
+        return a + b * ts
+    row = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m),
+                             label=f"{label} values"))
+    # scaled by 1e-300 or 1e-310, differences and quotients go subnormal
+    scale = data.draw(st.sampled_from([1e-300, 1e-310]), label=f"{label} scale")
+    return row * scale if kind == "tiny" else row
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(),
        gamma=st.one_of(st.sampled_from([0.5, 1.0]),
                        st.floats(0.0, 1.0, exclude_min=True)))
 def test_pairwise_seminorm_matches_full_scan(data, gamma):
-    m = data.draw(st.integers(1, 300), label="m")
+    m = data.draw(st.integers(1, 200), label="m")
     # drawing the points from a pool of at most m gives unsorted samples
-    # with duplicates and near-duplicates
+    # with duplicates; nudges of a few 1e-15 give near-duplicates closer
+    # than MIN_PAIR_SEPARATION
     pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=m), label="pool")
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m),
                       label="picks")
+    nudges = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                       label="nudges")
+    ts = np.array(pool)[picks] + 3e-15 * np.array(nudges)
     k = data.draw(st.integers(1, 5), label="K")
-    rows = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m),
-                              min_size=k, max_size=k), label="rows")
-    ts = np.array(pool)[picks]
-    rows = np.array(rows)
+    rows = np.stack([_sample_row(data, ts, f"row {i}") for i in range(k)])
     batch = holder.pairwise_seminorm(ts, rows, gamma)
     assert batch.shape == (k,)
+    assert np.array_equal(batch, row_block_seminorm(ts, rows, gamma))
     for vals, sem in zip(rows, batch):
         assert sem == _full_scan_seminorm(ts, vals, gamma)
     # the one-function call is the K = 1 case and returns a float
     single = holder.pairwise_seminorm(ts, rows[0], gamma)
     assert type(single) is float and single == batch[0]
+
+
+@pytest.mark.parametrize("m", [9, 64, 65, 513, 1000, 2049])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+def test_pairwise_seminorm_matches_row_block_scan(m, gamma):
+    # the shapes the tile scan prunes and the ties it cannot: identity,
+    # cusps, noise, a random walk, a constant and affine data
+    rng = np.random.default_rng(m)
+    ts = holder.uniform_samples(m)
+    rows = np.stack([ts, cusp_solution(0.5)(ts), np.sqrt(ts), rng.normal(size=m),
+                     np.cumsum(rng.normal(size=m)), np.full(m, -2.5), 0.3 * ts + 0.7,
+                     rng.normal(size=m) * 1e-300])
+    assert np.array_equal(holder.pairwise_seminorm(ts, rows, gamma),
+                          row_block_seminorm(ts, rows, gamma))
+    shuffled = rng.permutation(m)
+    assert np.array_equal(holder.pairwise_seminorm(ts[shuffled], rows[:, shuffled], gamma),
+                          row_block_seminorm(ts, rows, gamma))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       gamma=st.one_of(st.sampled_from([0.5, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True)))
+def test_tile_bounds_hold_for_every_pair(data, gamma):
+    # every level's allowed bound is at least each quotient of its tile, as
+    # the scan computes it, and a tile of zero oscillation has only zeros;
+    # steps of a few subnormal ulps make the float slopes and bounds err by
+    # whole ulps, which the relative allowance alone does not cover
+    m = data.draw(st.integers(2, 120), label="m")
+    ts = np.sort(np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+                                    label="ts")))
+    k = data.draw(st.integers(1, 3), label="K")
+    rows = []
+    for i in range(k):
+        if data.draw(st.booleans(), label=f"row {i} in ulps"):
+            steps = data.draw(st.lists(st.integers(-5, 5), min_size=m - 1, max_size=m - 1),
+                              label=f"row {i} steps")
+            rows.append(np.concatenate(([0.0], np.cumsum(steps))) * 2.0 ** -1074)
+        else:
+            rows.append(_sample_row(data, ts, f"row {i}"))
+    v = np.stack(rows)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = holder._divide(v[:, :, None] - v[:, None, :],
+                           holder._pair_distances(ts[:, None] - ts[None, :], gamma))
+        levels = holder._block_levels(v, holder._allowed_slopes(ts, v))
+        for lev, level in enumerate(levels):
+            size = holder.TILE_LEAF << lev
+            width = -(-m // size)
+            pad = np.zeros((k, width * size, width * size))
+            pad[:, :m, :m] = q
+            tile_max = pad.reshape(k, width, size, width, size).max(axis=(2, 4))
+            tk, ti, tj = (a.ravel() for a in np.meshgrid(
+                np.arange(k), np.arange(width), np.arange(width), indexing="ij"))
+            upper = ti <= tj
+            tk, ti, tj = tk[upper], ti[upper], tj[upper]
+            bound, osc = holder._tile_bounds(ts, level, size, tk, ti, tj, gamma)
+            qmax = tile_max[tk, ti, tj]
+            assert not np.any(bound < qmax)
+            assert np.all(qmax[osc == 0.0] == 0.0)
+
+
+def test_tile_bound_allowance_covers_subnormal_rounding():
+    # 3 ulps over 0.7 at gamma = 0.5: the slope rounds down to 4 ulps and its
+    # product with 0.7^0.5 down to 3, while the quotient rounds up to 4;
+    # only the ulp allowance keeps the bound above the quotient
+    ulp = 2.0 ** -1074
+    ts, v = np.array([0.0, 0.7]), np.array([[0.0, 3 * ulp]])
+    levels = holder._block_levels(v, holder._allowed_slopes(ts, v))
+    zero = np.zeros(1, np.intp)
+    bound, _ = holder._tile_bounds(ts, levels[0], holder.TILE_LEAF, zero, zero, zero, 0.5)
+    assert holder.pairwise_seminorm(ts, v[0], 0.5) == 4 * ulp <= bound[0]
+
+
+@pytest.mark.parametrize("cap, chunk", [(40, 4096), (400, 4096), (1 << 15, 7)])
+def test_pairwise_seminorm_frontier_cap_and_leaf_chunks(monkeypatch, cap, chunk):
+    # a small frontier cap sends the functions still live to the row-block
+    # scan at some level; a small leaf chunk splits the leaf gather
+    monkeypatch.setattr(holder, "MAX_LIVE_TILES", cap)
+    monkeypatch.setattr(holder, "LEAF_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    ts = holder.uniform_samples(700)
+    rows = np.stack([cusp_solution(0.5)(ts), np.cumsum(rng.normal(size=700)),
+                     rng.normal(size=700)])
+    assert np.array_equal(holder.pairwise_seminorm(ts, rows, 0.5),
+                          row_block_seminorm(ts, rows, 0.5))
+
+
+def test_pairwise_seminorm_exponents_outside_unit_interval():
+    # no tile bound holds there: every pair is scanned
+    rng = np.random.default_rng(0)
+    ts = rng.uniform(size=200)
+    rows = rng.normal(size=(3, 200))
+    for gamma in (1.5, 2.0):
+        assert np.array_equal(holder.pairwise_seminorm(ts, rows, gamma),
+                              row_block_seminorm(ts, rows, gamma))
 
 
 def test_pairwise_seminorm_memory_bounded():
@@ -142,6 +256,20 @@ def test_batched_seminorm_memory_bounded():
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
     assert sems[-1] == _full_scan_seminorm(ts, rows[-1], 0.5)
+
+
+def test_random_walk_seminorm_memory_bounded():
+    # a random walk prunes least of the batched inputs: more tiles stay live
+    ts = holder.uniform_samples(4097)
+    rows = np.cumsum(np.random.default_rng(1).normal(size=(32, 4097)), axis=1)
+    tracemalloc.start()
+    try:
+        sems = holder.pairwise_seminorm(ts, rows, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert sems[0] == _full_scan_seminorm(ts, rows[0], 0.5)
 
 
 def test_pairwise_seminorm_shape_mismatch():

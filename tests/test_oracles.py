@@ -163,12 +163,6 @@ def test_manufacture_rejects_nonvanishing_target():
         oracles.manufacture(identity(), identity(), identity(), identity(), 1.0)
 
 
-def test_smooth_parabola_derivative():
-    f = oracles.smooth_parabola()
-    assert float(f(0.5)) == 0.25
-    assert float(f.deriv(0.25)) == 0.5
-
-
 def test_oracle_registry():
     assert oracles.oracle_by_name("smooth_parabola").label == "t(1-t)"
     assert oracles.oracle_by_name("cusp", gamma=0.5)(0.5) == pytest.approx(0.5 ** 0.5)

@@ -13,7 +13,7 @@ from .grids import PiecewiseLinear, UniformGrid, project
 from .problem import (NormOverrides, ProblemSpec, certify, paradise_fish,
                       residual, section5, to_homogeneous)
 from .collocation import solve_collocation
-from .picard import picard_exact, picard_grid
+from .picard import picard_grid
 from .oracles import cusp_solution, manufacture, product_formula
 from .study import fit_order, run_study
 
@@ -22,7 +22,7 @@ __all__ = [
     "PiecewiseLinear", "UniformGrid", "project",
     "NormOverrides", "ProblemSpec", "certify", "paradise_fish", "residual",
     "section5", "to_homogeneous",
-    "solve_collocation", "picard_exact", "picard_grid",
+    "solve_collocation", "picard_grid",
     "cusp_solution", "manufacture", "product_formula",
     "fit_order", "run_study",
 ]

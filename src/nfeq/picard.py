@@ -90,10 +90,6 @@ def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[floa
     return float(_collapse(top, below)[0]), visits
 
 
-def picard_exact(p: ProblemSpec, f0, depth: int, t: float) -> float:
-    return picard_exact_counted(p, f0, depth, t)[0]
-
-
 @dataclass(frozen=True)
 class PicardTrace:
     final: PiecewiseLinear

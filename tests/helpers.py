@@ -4,11 +4,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from nfeq import holder
-from nfeq.collocation import delay_map
-from nfeq.functions import FunctionHandle, eval_on
-from nfeq.grids import project
+from nfeq.functions import DomainError, FunctionHandle, eval_on
+from nfeq.grids import locate, project
 
 
 def random_function(rng: np.random.Generator, exponent: float = 1.0,
@@ -86,13 +86,41 @@ def exact_reference(p, f0, depth: int, t: float) -> tuple[float, int]:
     return rec(depth, float(t)), visits
 
 
+def whole_delay_map(p, grid):
+    """The delay map B and source k built over all interior nodes at once.
+
+    The reference for ``collocation.delay_map``, which builds the same rows
+    a block at a time.
+    """
+    n = grid.n
+    interior = grid.nodes[1:-1]
+    phi_vals = eval_on(p.phi, interior)
+    idx = np.int32 if 4 * n <= np.iinfo(np.int32).max else np.int64
+    data = np.empty((n - 1, 4))
+    indices = np.empty((n - 1, 4), dtype=idx)
+    for col, coeff, delay in ((0, phi_vals, p.phi1), (2, 1.0 - phi_vals, p.phi2)):
+        try:
+            i, w = locate(grid, eval_on(delay, interior))
+        except DomainError as exc:
+            raise DomainError(f"delay argument {exc} (collocation node "
+                              f"{exc.index + 1})", exc.index) from None
+        data[:, col] = coeff * (1.0 - w)
+        data[:, col + 1] = coeff * w
+        indices[:, col] = i
+        indices[:, col + 1] = i + 1
+    b = sparse.csr_array((data.ravel(), indices.ravel(), 4 * np.arange(n, dtype=idx)),
+                         shape=(n - 1, n + 1))
+    return b, eval_on(p.source, interior)
+
+
 def grid_picard_reference(p, grid, f0, tol: float, max_iter: int):
     """Grid Picard written out, values[1:-1] = B values + k per sweep.
 
-    The reference for ``picard.picard_grid``: returns the final nodal values
-    and every increment.
+    The reference for ``picard.picard_grid``: the delay map comes from
+    ``whole_delay_map``, and the increment is |new - old| in a fresh array.
+    Returns the final nodal values and every increment.
     """
-    b, k = delay_map(p, grid)
+    b, k = whole_delay_map(p, grid)
     values = f0.values.copy()
     values[0], values[-1] = p.boundary_left, p.boundary_right
     increments = []

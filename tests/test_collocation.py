@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from nfeq import collocation, grids, linalg, picard, problem
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture
+
+from helpers import random_delay_map, random_function, whole_delay_map
 
 
 def singular_problem():
@@ -78,6 +81,78 @@ def test_delay_map_invariants(n):
         np.testing.assert_allclose(b @ f0.values + k,
                                    p.operator(f0, g.nodes[1:-1]),
                                    rtol=0.0, atol=1e-15)
+
+
+def _cusp_problem():
+    base = problem.section5(0.02, 0.5)
+    return manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5).problem
+
+
+def _random_delay_problem():
+    rng = np.random.default_rng(18)
+    return problem.ProblemSpec(phi=random_delay_map(rng), phi1=random_delay_map(rng),
+                               phi2=random_delay_map(rng), source=random_function(rng),
+                               boundary_left=0.0, boundary_right=1.0, gamma=1.0)
+
+
+_BLOCK_PROBLEMS = {"paradise": lambda: problem.paradise_fish(0.05, 0.2),
+                   "section5": lambda: problem.section5(0.02, 0.5),
+                   "cusp": _cusp_problem,
+                   "random": _random_delay_problem}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_PROBLEMS))
+def test_delay_map_blocks_match_whole_array_build(name):
+    p = _BLOCK_PROBLEMS[name]()
+    step = collocation.DELAY_BLOCK_ROWS
+    for rows in (step - 1, step, step + 1, 3 * step + 5):
+        g = grids.UniformGrid(rows + 1)
+        b, k = collocation.delay_map(p, g)
+        ref_b, ref_k = whole_delay_map(p, g)
+        for got, want in ((b.data, ref_b.data), (b.indices, ref_b.indices),
+                          (b.indptr, ref_b.indptr), (k, ref_k)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), rows
+
+
+def _spike(value, at):
+    """phi1 = t / 2, except value at the points in ``at``."""
+    return FunctionHandle(eval=lambda t: np.where(np.isin(t, at), value, 0.5 * t),
+                          label=f"spike {value}")
+
+
+def test_delay_map_domain_error_names_global_node():
+    step = collocation.DELAY_BLOCK_ROWS
+    g = grids.UniformGrid(3 * step + 6)
+    # node 2 B + 7 is interior row 2 B + 6, in the third block of rows
+    bad = 2 * step + 7
+    p = replace(problem.paradise_fish(0.05, 0.2), phi1=_spike(1.001, g.nodes[bad]))
+    with pytest.raises(grids.DomainError, match=rf"collocation node {bad}\b") as exc:
+        collocation.delay_map(p, g)
+    assert exc.value.index == bad - 1
+    # faults in two blocks: the one in the earlier block is met first,
+    # here phi2's, where a whole-array build meets phi1's first
+    early = 5
+    p = replace(p, phi2=_spike(-0.5, g.nodes[early]))
+    with pytest.raises(grids.DomainError, match=rf"collocation node {early}\b") as exc:
+        collocation.delay_map(p, g)
+    assert exc.value.index == early - 1
+    with pytest.raises(grids.DomainError, match=rf"collocation node {bad}\b"):
+        whole_delay_map(p, g)
+
+
+def test_delay_map_memory_bounded_by_outputs():
+    # a whole-array build at N = 2^18 peaks near twice its outputs (31 MiB)
+    p = _cusp_problem()
+    g = grids.UniformGrid(2 ** 18)
+    tracemalloc.start()
+    try:
+        b, k = collocation.delay_map(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = b.data.nbytes + b.indices.nbytes + b.indptr.nbytes + k.nbytes
+    assert peak <= outputs + 4 * 2 ** 20, (peak, outputs)
 
 
 def test_two_interval_solution_value():

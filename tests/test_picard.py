@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfeq import grids, picard, problem
+from nfeq import collocation, grids, picard, problem
 from nfeq.collocation import solve_collocation
 from nfeq.functions import EvaluationError, FunctionHandle, identity
 from nfeq.oracles import cusp_solution, manufacture, product_formula
@@ -15,18 +15,18 @@ from helpers import exact_reference, grid_picard_reference
 
 def test_exact_depth_zero_returns_initial():
     p = problem.paradise_fish(0.0, 0.2, 1.0)
-    assert picard.picard_exact(p, identity(), 0, 0.3) == 0.3
+    assert picard.picard_exact_counted(p, identity(), 0, 0.3)[0] == 0.3
 
 
 def test_exact_one_step_value():
     # one unrolling at t = 0.5: 0.5 * f0(1) + 0.5 * f0(0.1) = 0.55
     p = problem.paradise_fish(0.0, 0.2, 1.0)
-    assert picard.picard_exact(p, identity(), 1, 0.5) == pytest.approx(0.55, abs=1e-15)
+    assert picard.picard_exact_counted(p, identity(), 1, 0.5)[0] == pytest.approx(0.55, abs=1e-15)
 
 
 def test_exact_deep_iteration_matches_product_formula():
     p = problem.paradise_fish(0.0, 0.2, 1.0)
-    val = picard.picard_exact(p, identity(), 20, 0.5)
+    val = picard.picard_exact_counted(p, identity(), 20, 0.5)[0]
     assert val == pytest.approx(product_formula(0.2, 0.5), abs=1e-4)
 
 
@@ -40,11 +40,11 @@ def test_exact_visit_count(depth):
 def test_exact_cost_guard():
     p = problem.paradise_fish(0.0, 0.2, 1.0)
     with pytest.raises(picard.CostGuardError):
-        picard.picard_exact(p, identity(), picard.MAX_EXACT_DEPTH + 1, 0.5)
+        picard.picard_exact_counted(p, identity(), picard.MAX_EXACT_DEPTH + 1, 0.5)
     with pytest.raises(ValueError):
-        picard.picard_exact(p, identity(), -1, 0.5)
+        picard.picard_exact_counted(p, identity(), -1, 0.5)
     with pytest.raises(ValueError):
-        picard.picard_exact(p, identity(), 1, 1.5)
+        picard.picard_exact_counted(p, identity(), 1, 1.5)
 
 
 def _cusp_problem():
@@ -89,21 +89,21 @@ def test_exact_delay_domain():
                               label=f"tail {value}")
 
     # an overshoot within CLAMP_TOL is clamped onto 1
-    near = picard.picard_exact(replace(p, phi1=tail(1.0 + 5e-13)), identity(), 6, 0.7)
-    ref = picard.picard_exact(replace(p, phi1=tail(1.0)), identity(), 6, 0.7)
+    near = picard.picard_exact_counted(replace(p, phi1=tail(1.0 + 5e-13)), identity(), 6, 0.7)[0]
+    ref = picard.picard_exact_counted(replace(p, phi1=tail(1.0)), identity(), 6, 0.7)[0]
     assert near == ref
     with pytest.raises(grids.DomainError):
-        picard.picard_exact(replace(p, phi1=tail(1.0 + 1e-3)), identity(), 6, 0.7)
+        picard.picard_exact_counted(replace(p, phi1=tail(1.0 + 1e-3)), identity(), 6, 0.7)
 
 
 def test_exact_non_finite_value_raises():
     p = problem.paradise_fish(0.05, 0.2, 1.0)
     f0 = FunctionHandle(eval=lambda t: np.where(np.asarray(t) < 0.01, np.nan, t),
                         label="nan below 0.01")
-    assert np.isfinite(picard.picard_exact(p, f0, 2, 0.5))
+    assert np.isfinite(picard.picard_exact_counted(p, f0, 2, 0.5)[0])
     # the leaf phi2(phi2(phi2(0.5))) = 0.004
     with pytest.raises(EvaluationError, match="nan below 0.01"):
-        picard.picard_exact(p, f0, 3, 0.5)
+        picard.picard_exact_counted(p, f0, 3, 0.5)
 
 
 def test_exact_memory_bounded_at_depth_20():
@@ -228,6 +228,18 @@ def test_grid_picard_matches_reference_loop(name):
         values, increments = grid_picard_reference(p, g, f0, tol=1e-12, max_iter=1000)
         assert trace.increments == increments
         np.testing.assert_array_equal(trace.final.values, values)
+
+
+def test_grid_picard_across_delay_blocks_matches_reference():
+    # N - 1 = 3 B + 5 interior rows: three full blocks of B and a short one
+    p = _cusp_problem()
+    g = grids.UniformGrid(3 * collocation.DELAY_BLOCK_ROWS + 6)
+    f0 = picard.initial_iterate(p, g)
+    trace = picard.picard_grid(p, g, f0, tol=1e-12)
+    values, increments = grid_picard_reference(p, g, f0, tol=1e-12, max_iter=1000)
+    assert trace.converged
+    assert trace.increments == increments
+    np.testing.assert_array_equal(trace.final.values, values)
 
 
 def test_trace_csv(tmp_path):

@@ -23,15 +23,18 @@ two bounds, and the tile's bound is the smaller:
   most L s^(1 - gamma). It is the only bound that prunes next to the
   diagonal, where g is one sample spacing.
 
-Each function's running maximum starts at its adjacent-pair quotients. At
-every level each live tile adds its witness pairs (first of I, last of J),
-(argmax of I, argmin of J) and (argmin of I, argmax of J), computed by the
-scan's own float steps (``_pair_distances``, ``_divide``), so the running
-maximum is always a member of the maximum. A tile is dropped where its
-bound is <= the running maximum, and the rest split in four (less the
-children below the diagonal). Refinement starts from all pairs of the top
-level's at most TOP_BLOCKS blocks. The leaf tiles left are gathered and
-scanned LEAF_CHUNK at a time.
+Each function's running maximum starts at its adjacent-pair quotients.
+Refinement is depth first: a stack holds batches of at most MAX_LIVE_TILES
+tiles of one level, starting from all pairs of the top level's at most
+TOP_BLOCKS blocks. Each batch popped adds its live tiles' witness pairs
+(first of I, last of J), (argmax of I, argmin of J) and (argmin of I, argmax
+of J), computed by the scan's own float steps (``_pair_distances``,
+``_divide``), so the running maximum is always a member of the maximum. A
+tile is dropped where its bound is <= the running maximum. Above the leaves
+the rest split in four (less the children below the diagonal) and go back
+on the stack, first batch on top; at the leaves they are gathered and
+scanned LEAF_CHUNK at a time. The stack holds a few batches per level,
+whatever K and m, which bounds memory.
 
 Why pruning cannot change the float maximum: the bounds hold for exact
 quotients, while the scan and the bounds compute in floats, each step
@@ -46,15 +49,11 @@ the Lipschitz bound multiplies them by s^(1 - gamma), which could scale up
 their underflow error. Every quotient of a dropped tile is then <= a member
 of the maximum. A NaN or infinite bound never drops a tile.
 
-Ties keep tiles whose quotients equal the maximum up to rounding. Two cases
-stay cheap: a tile of one value has only zero quotients and is dropped
-outright, and a function whose adjacent pairs already reach the bound of
-all its pairs within TIE_REL (affine data at gamma = 1, where every chord
-ties) is scanned whole, as are all functions for an exponent outside (0, 1],
-where the bounds fail, and the functions still live once a level would pass
-MAX_LIVE_TILES tiles (which bounds memory). Scanning whole is the plain
-row-block scan: PAIR_BLOCK_ROWS rows against the columns to their right,
-each block's distances shared by the functions scanned.
+Ties keep tiles whose quotients equal the maximum up to rounding. A tile of
+one value has only zero quotients and is dropped outright; other tied tiles
+(affine data at gamma = 1, where every chord ties) reach the leaves and are
+scanned there. For an exponent outside (0, 1] the bounds fail, so they are
+taken as inf: nothing is pruned and the leaf scan covers every pair.
 
 The Lipschitz norms take only adjacent samples: by the Lipschitz bound the
 largest adjacent slope is the pair maximum in exact arithmetic (in floats
@@ -77,14 +76,11 @@ from .functions import eval_on
 DEFAULT_SAMPLES = 513
 #: pairs closer than this are skipped (0/0 quotient)
 MIN_PAIR_SEPARATION = 1e-14
-#: rows of the row-block scan compared at once against the columns to their right
-PAIR_BLOCK_ROWS = 64
 #: samples per leaf block of the tile branch-and-bound
 TILE_LEAF = 8
 #: most blocks of the top level, whose block pairs are the first tiles
 TOP_BLOCKS = 8
-#: most tiles one level may split into; past it the functions still live
-#: are scanned whole
+#: most tiles in one batch of the refinement stack
 MAX_LIVE_TILES = 1 << 16
 #: leaf tiles gathered at once by the leaf scan
 LEAF_CHUNK = 512
@@ -92,8 +88,6 @@ LEAF_CHUNK = 512
 BOUND_REL = 1e-9
 #: tile bounds: underflow allowance, in ulps of the bound
 BOUND_ULPS = 4
-#: a function whose adjacent pairs reach its all-pairs bound within this is tied
-TIE_REL = 1e-6
 
 
 def uniform_samples(m: int) -> np.ndarray:
@@ -150,13 +144,9 @@ def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float):
             t, v = ts[order], rows[:, order]
         dt = _pair_distances(t[1:] - t[:-1], gamma)
         best = _divide(v[:, 1:] - v[:, :-1], dt).max(axis=1)
-        whole = np.arange(best.size)  # no bound holds outside (0, 1]
-        if 0.0 < gamma <= 1.0:
-            # bounds may be inf or NaN (duplicate points), which keeps tiles
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                whole, leaves = _refine(t, v, gamma, best)
-            _scan_leaves(t, v, gamma, best, *leaves)
-        _scan_rows(t, v, gamma, best, whole)
+        # bounds may be inf or NaN (duplicate points), which keeps tiles
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _refine(t, v, gamma, best)
     return float(best[0]) if vals.ndim < 2 else best
 
 
@@ -222,7 +212,8 @@ def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
     """Allowed bounds on the quotients of the tiles (k, i, j) and their oscillations.
 
     ``level`` is the ``_block_levels`` level of blocks of ``size`` samples;
-    the bounds are those of the module docstring.
+    the bounds are those of the module docstring, and inf for an exponent
+    outside (0, 1], where they fail.
     """
     vmin, vmax, _, _, lip_in, lip_out = level
     m = t.size
@@ -231,6 +222,8 @@ def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
     last = np.minimum(first + size, m) - 1
     ii, jj = tk * width + ti, tk * width + tj
     osc = np.maximum(vmax[jj] - vmin[ii], vmax[ii] - vmin[jj])
+    if not 0.0 < gamma <= 1.0:
+        return np.full(osc.shape, np.inf), osc
     gap = t[first[tj]] - t[last[ti]]
     np.maximum(gap, MIN_PAIR_SEPARATION, out=gap)
     bound = osc / gap ** gamma
@@ -240,26 +233,27 @@ def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
     return _allow(bound), osc
 
 
-def _refine(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray) -> tuple:
-    """Refine tiles from the top level down, raising best by their witnesses.
-
-    Returns the functions to scan whole and the leaf tiles left, (k, i, j).
-    """
+def _refine(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray) -> None:
+    """Refine tiles depth first, raising best by their witnesses and leaf pairs."""
     k, m = v.shape
-    slopes = _allowed_slopes(t, v)
-    # the bound of all pairs: where the adjacent pairs already reach it, the
-    # function is tied (module docstring) and scanned whole
-    root = _allow(slopes.max(axis=1) * (t[-1] - t[0]) ** (1.0 - gamma))
-    whole = ~(root > best * (1.0 + TIE_REL))
-    tk = np.flatnonzero(~whole)
-    if not tk.size:
-        return np.flatnonzero(whole), (tk, tk, tk)
     flat = v.ravel()
-    levels = _block_levels(v, slopes)
+    levels = _block_levels(v, _allowed_slopes(t, v))
+    # leaves padded with copies of the last sample, whose pairs are real pairs
+    padded = np.minimum(np.arange(-(-m // TILE_LEAF) * TILE_LEAF), m - 1)
+    tp = t[padded].reshape(-1, TILE_LEAF)
+    vp = v[:, padded].reshape(k, -1, TILE_LEAF)
     # every pair of the top level's blocks
     ti, tj = np.triu_indices(levels[-1][0].size // k)
-    tk, ti, tj = np.repeat(tk, ti.size), np.tile(ti, tk.size), np.tile(tj, tk.size)
-    for lev in range(len(levels) - 1, -1, -1):
+    stack = [(len(levels) - 1, np.repeat(np.arange(k), ti.size), np.tile(ti, k),
+              np.tile(tj, k))]
+    while stack:
+        lev, tk, ti, tj = stack.pop()
+        if tk.size > MAX_LIVE_TILES:
+            # memory: the first batch on top of the rest
+            cut = MAX_LIVE_TILES
+            stack.append((lev, tk[cut:], ti[cut:], tj[cut:]))
+            stack.append((lev, tk[:cut], ti[:cut], tj[:cut]))
+            continue
         size = TILE_LEAF << lev
         bound, osc = _tile_bounds(t, levels[lev], size, tk, ti, tj, gamma)
         # a tile of one value has only zero quotients
@@ -277,71 +271,29 @@ def _refine(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray) -> tup
         np.maximum.at(best, wk, w)
         keep = ~(bound <= best[tk])
         tk, ti, tj = tk[keep], ti[keep], tj[keep]
-        if lev == 0 or not tk.size:
-            return np.flatnonzero(whole), (tk, ti, tj)
-        if 4 * tk.size > MAX_LIVE_TILES:
-            # memory: the functions still live are scanned whole
-            whole[tk] = True
-            return np.flatnonzero(whole), (tk[:0], ti[:0], tj[:0])
-        # four children each, less those below the diagonal or past the end
-        tk = np.repeat(tk, 4)
-        ti = (2 * ti[:, None] + (0, 0, 1, 1)).ravel()
-        tj = (2 * tj[:, None] + (0, 1, 0, 1)).ravel()
-        real = (ti <= tj) & (tj < -(-m // (size // 2)))
-        tk, ti, tj = tk[real], ti[real], tj[real]
+        if lev == 0:
+            _scan_leaves(tp, vp, gamma, best, tk, ti, tj)
+        elif tk.size:
+            # four children each, less those below the diagonal or past the end
+            tk = np.repeat(tk, 4)
+            ti = (2 * ti[:, None] + (0, 0, 1, 1)).ravel()
+            tj = (2 * tj[:, None] + (0, 1, 0, 1)).ravel()
+            real = (ti <= tj) & (tj < -(-m // (size // 2)))
+            stack.append((lev - 1, tk[real], ti[real], tj[real]))
 
 
-def _scan_leaves(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray,
+def _scan_leaves(tp: np.ndarray, vp: np.ndarray, gamma: float, best: np.ndarray,
                  tk: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> None:
     """Raise best by every pair of the leaf tiles (k, i, j), LEAF_CHUNK at a time.
 
     Each tile's TILE_LEAF x TILE_LEAF pairs are gathered from the padded
-    samples: row points past the end are +inf and column points -inf, so
-    every pair with one of them is at distance inf and gets quotient 0.
+    samples ``tp`` (leaf, offset) and ``vp`` (function, leaf, offset).
     """
-    if not tk.size:
-        return
-    k, m = v.shape
-    width = -(-m // TILE_LEAF)
-    rows_t = np.full(width * TILE_LEAF, np.inf)
-    rows_t[:m] = t
-    cols_t = -rows_t
-    cols_t[:m] = t
-    vp = np.zeros((k, width * TILE_LEAF))
-    vp[:, :m] = v
-    rows_t, cols_t = rows_t.reshape(width, -1), cols_t.reshape(width, -1)
-    vp = vp.reshape(k, width, -1)
     for c in range(0, tk.size, LEAF_CHUNK):
         ck, ci, cj = tk[c:c + LEAF_CHUNK], ti[c:c + LEAF_CHUNK], tj[c:c + LEAF_CHUNK]
-        dt = _pair_distances(rows_t[ci][:, :, None] - cols_t[cj][:, None, :], gamma)
+        dt = _pair_distances(tp[ci][:, :, None] - tp[cj][:, None, :], gamma)
         q = _divide(vp[ck, ci][:, :, None] - vp[ck, cj][:, None, :], dt)
         np.maximum.at(best, ck, q.max(axis=(1, 2)))
-
-
-def _scan_rows(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray,
-               ks: np.ndarray) -> None:
-    """Raise best by every pair of the functions ks: the plain row-block scan.
-
-    Each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows [lo, hi)
-    meet columns lo: only, since |a - b| == |b - a| exactly. Each block's
-    distances are built once and shared by the functions, in two reused
-    block buffers whatever their number.
-    """
-    if not ks.size:
-        return
-    m = t.size
-    width = min(PAIR_BLOCK_ROWS, m)
-    dt_buf, dv_buf = np.empty(width * m), np.empty(width * m)
-    for lo in range(0, m, PAIR_BLOCK_ROWS):
-        hi = min(lo + PAIR_BLOCK_ROWS, m)
-        shape = (hi - lo, m - lo)
-        size = shape[0] * shape[1]
-        dt = _pair_distances(np.subtract(t[lo:hi, None], t[None, lo:],
-                                         out=dt_buf[:size].reshape(shape)), gamma)
-        dv = dv_buf[:size].reshape(shape)
-        for k in ks.tolist():
-            np.subtract(v[k, lo:hi, None], v[k, None, lo:], out=dv)
-            best[k] = max(best[k], _divide(dv, dt).max())
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,8 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if f0.grid.n != grid.n:
         raise ValueError(f"initial iterate lives on N={f0.grid.n}, expected N={grid.n}")
     if abs(f0.values[0] - p.boundary_left) > 1e-12 or \

@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .functions import FunctionHandle, constant, eval_on, identity
-from .grids import clamp_unit
+from .grids import CLAMP_TOL, clamp_unit
 from . import holder
 
 BOUNDARY_TOL = 1e-12
-RANGE_TOL = 1e-12
 
 
 class ProblemValidationError(ValueError):
@@ -61,7 +60,7 @@ def validate(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES) -> None:
     ts = holder.uniform_samples(m)
     for name, fn in (("phi1", p.phi1), ("phi2", p.phi2)):
         vals = eval_on(fn, ts)
-        if vals.min() < -RANGE_TOL or vals.max() > 1.0 + RANGE_TOL:
+        if vals.min() < -CLAMP_TOL or vals.max() > 1.0 + CLAMP_TOL:
             violations.append(
                 f"{name} leaves [0,1]: sampled range [{vals.min():.6g}, {vals.max():.6g}]")
     p1_end = float(eval_on(p.phi1, np.array([1.0]))[0])

@@ -10,6 +10,10 @@ from nfeq import holder
 from nfeq.functions import DomainError, FunctionHandle, eval_on
 from nfeq.grids import locate, project
 
+#: rows of the reference pair scan compared at once against the columns to
+#: their right; blocking changes no quotient, only the memory
+ROW_BLOCK = 64
+
 
 def random_function(rng: np.random.Generator, exponent: float = 1.0,
                     zero_at_origin: bool = False) -> FunctionHandle:
@@ -136,7 +140,7 @@ def grid_picard_reference(p, grid, f0, tol: float, max_iter: int):
 def row_block_seminorm(ts, vals, gamma):
     """The plain row-block pair scan: the reference for ``holder.pairwise_seminorm``.
 
-    Scans each pair once, i < j, in blocks of PAIR_BLOCK_ROWS rows: rows
+    Scans each pair once, i < j, in blocks of ROW_BLOCK rows: rows
     [lo, hi) meet columns lo: only. Each block's distances |t_i - t_j|^gamma
     are built once and shared by the K rows of ``vals`` (shape (m,) or
     (K, m)); pairs closer than MIN_PAIR_SEPARATION get quotient 0.
@@ -146,7 +150,7 @@ def row_block_seminorm(ts, vals, gamma):
     rows = np.atleast_2d(vals)
     m = ts.size
     best = np.zeros(rows.shape[0])
-    step = holder.PAIR_BLOCK_ROWS
+    step = ROW_BLOCK
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         dt = np.abs(ts[lo:hi, None] - ts[None, lo:])

@@ -116,6 +116,14 @@ def test_picard_nonconvergence_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_picard_nonpositive_max_iter(capsys, max_iter):
+    code, _, err = run(["picard", "--problem", "paradise", "--n", "32",
+                        "--max-iter", max_iter], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "max_iter must be at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # study
 # ---------------------------------------------------------------------------

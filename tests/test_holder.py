@@ -208,8 +208,8 @@ def test_tile_bound_allowance_covers_subnormal_rounding():
 
 @pytest.mark.parametrize("cap, chunk", [(40, 4096), (400, 4096), (1 << 15, 7)])
 def test_pairwise_seminorm_frontier_cap_and_leaf_chunks(monkeypatch, cap, chunk):
-    # a small frontier cap sends the functions still live to the row-block
-    # scan at some level; a small leaf chunk splits the leaf gather
+    # a small frontier cap splits the refinement into many batches; a small
+    # leaf chunk splits the leaf gather
     monkeypatch.setattr(holder, "MAX_LIVE_TILES", cap)
     monkeypatch.setattr(holder, "LEAF_CHUNK", chunk)
     rng = np.random.default_rng(4)
@@ -221,13 +221,16 @@ def test_pairwise_seminorm_frontier_cap_and_leaf_chunks(monkeypatch, cap, chunk)
 
 
 def test_pairwise_seminorm_exponents_outside_unit_interval():
-    # no tile bound holds there: every pair is scanned
+    # no tile bound holds there: nothing is pruned and the leaf scan covers
+    # every pair; at 203 samples the last leaf is padded, and values away
+    # from 0 would show a padded pair that is not a real one at gamma = 0
     rng = np.random.default_rng(0)
-    ts = rng.uniform(size=200)
-    rows = rng.normal(size=(3, 200))
-    for gamma in (1.5, 2.0):
-        assert np.array_equal(holder.pairwise_seminorm(ts, rows, gamma),
-                              row_block_seminorm(ts, rows, gamma))
+    for m, shift in ((200, 0.0), (203, 5.0)):
+        ts = rng.uniform(size=m)
+        rows = rng.normal(size=(3, m)) + shift
+        for gamma in (0.0, 1.5, 2.0):
+            assert np.array_equal(holder.pairwise_seminorm(ts, rows, gamma),
+                                  row_block_seminorm(ts, rows, gamma))
 
 
 def test_pairwise_seminorm_memory_bounded():
@@ -258,10 +261,13 @@ def test_batched_seminorm_memory_bounded():
     assert sems[-1] == _full_scan_seminorm(ts, rows[-1], 0.5)
 
 
-def test_random_walk_seminorm_memory_bounded():
-    # a random walk prunes least of the batched inputs: more tiles stay live
+@pytest.mark.parametrize("rows", [
+    np.cumsum(np.random.default_rng(1).normal(size=(32, 4097)), axis=1),
+    np.random.default_rng(1).normal(size=(64, 4097)),
+], ids=["random-walks", "white-noise"])
+def test_random_walk_seminorm_memory_bounded(rows):
+    # rough data prunes least: 50,000 to 60,000 leaf tiles stay live here
     ts = holder.uniform_samples(4097)
-    rows = np.cumsum(np.random.default_rng(1).normal(size=(32, 4097)), axis=1)
     tracemalloc.start()
     try:
         sems = holder.pairwise_seminorm(ts, rows, 0.5)

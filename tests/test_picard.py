@@ -166,6 +166,9 @@ def test_grid_picard_input_validation():
         picard.picard_grid(p, g, bad_boundary)
     with pytest.raises(ValueError):
         picard.picard_grid(p, g, picard.initial_iterate(p, g), tol=0.0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            picard.picard_grid(p, g, picard.initial_iterate(p, g), max_iter=max_iter)
 
 
 def test_grid_picard_nonconvergence_warns():

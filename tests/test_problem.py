@@ -261,6 +261,26 @@ def test_operator_delay_domain():
     assert exc.value.index == 1
 
 
+def test_validate_range_is_the_clamp_tolerance():
+    # a delay within CLAMP_TOL of [0, 1] validates and is clamped; past it,
+    # validation and the clamp both refuse it
+    from dataclasses import replace
+    ts = holder.uniform_samples(holder.DEFAULT_SAMPLES)
+    for over, accepted in ((0.5, True), (2.0, False)):
+        top = 1.0 + over * grids.CLAMP_TOL
+        p = replace(problem.paradise_fish(0.1, 0.3, 1.0), phi1=FunctionHandle(
+            eval=lambda t, top=top: np.where(np.asarray(t) == 0.5, top,
+                                             0.9 + 0.1 * np.asarray(t, dtype=float))))
+        if accepted:
+            problem.validate(p)
+            assert grids.clamp_unit(p.phi1(ts)).max() == 1.0
+        else:
+            with pytest.raises(problem.ProblemValidationError, match="phi1 leaves"):
+                problem.validate(p)
+            with pytest.raises(grids.DomainError):
+                grids.clamp_unit(p.phi1(ts))
+
+
 def test_operator_matches_definition():
     p = problem.paradise_fish(0.1, 0.3, 1.0)
     f = FunctionHandle(eval=lambda t: np.asarray(t, dtype=float) ** 2)

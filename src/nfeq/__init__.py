@@ -8,7 +8,7 @@ oracles, and mesh-refinement convergence studies.
 
 __version__ = "0.1.0"
 
-from .functions import FunctionHandle, as_handle, constant, identity
+from .functions import FunctionHandle, constant, identity
 from .grids import PiecewiseLinear, UniformGrid, project
 from .problem import (NormOverrides, ProblemSpec, certify, paradise_fish,
                       residual, section5, to_homogeneous)
@@ -18,7 +18,7 @@ from .oracles import cusp_solution, manufacture, product_formula
 from .study import fit_order, run_study
 
 __all__ = [
-    "FunctionHandle", "as_handle", "constant", "identity",
+    "FunctionHandle", "constant", "identity",
     "PiecewiseLinear", "UniformGrid", "project",
     "NormOverrides", "ProblemSpec", "certify", "paradise_fish", "residual",
     "section5", "to_homogeneous",

@@ -36,13 +36,6 @@ class FunctionHandle:
         return self.eval(t)
 
 
-def as_handle(f, label: str = "f") -> FunctionHandle:
-    """Wrap a bare callable; FunctionHandles pass through unchanged."""
-    if isinstance(f, FunctionHandle):
-        return f
-    return FunctionHandle(eval=f, label=label)
-
-
 def constant(c: float, label: str | None = None) -> FunctionHandle:
     c = float(c)
     return FunctionHandle(

@@ -339,10 +339,6 @@ def estimate_sup_norm(f, m: int = DEFAULT_SAMPLES) -> float:
     return float(np.abs(eval_on(f, ts)).max())
 
 
-def estimate_lipschitz_norm(f, m: int = DEFAULT_SAMPLES) -> float:
-    return estimate_lipschitz_norms([f], m)[0]
-
-
 def estimate_lipschitz_norms(fs, m: int = DEFAULT_SAMPLES) -> list[float]:
     """|f(0)| plus the Lipschitz seminorm of each f: the largest adjacent slope.
 

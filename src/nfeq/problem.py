@@ -115,6 +115,15 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
     Sampled norms are lower bounds, so certification without analytic
     overrides is heuristic: it can declare contraction where the true
     factors are slightly larger.
+
+    ``satisfies_existence`` (the paper's fixed_point_factor < 1) cannot hold
+    when |phi(1)| >= 1, as for every built-in family (phi = t). validate
+    enforces phi1(1) = 1, so n1 = |phi1(0)| + [phi1]_1 >= |phi1(0)| +
+    |1 - phi1(0)| >= 1, and likewise ng >= |phi(0)| + |phi(1) - phi(0)| >=
+    |phi(1)|; the samples include t = 0 and 1, so sampled norms obey both,
+    as do analytic norms that bound the true ones.
+    Hence fixed_point_factor >= ng n1^gamma >= |phi(1)|. The line is kept
+    as the paper states it.
     """
     validate(p, m)
     ov = overrides or NormOverrides()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nfeq import collocation, grids, linalg, picard, problem
 from nfeq.functions import FunctionHandle, constant, identity
@@ -66,6 +67,7 @@ def test_assembly_matches_row_loop_reference(n):
 
 @pytest.mark.parametrize("n", [2, 16, 97])
 def test_delay_map_invariants(n):
+    rng = np.random.default_rng(n)
     base = problem.section5(0.02, 0.5)
     g = grids.UniformGrid(n)
     for p in (problem.paradise_fish(0.05, 0.2, 1.0), base,
@@ -76,10 +78,16 @@ def test_delay_map_invariants(n):
         assert b.nnz == 4 * (n - 1)
         # the hat weights of each delay argument form a partition of unity
         np.testing.assert_allclose(b @ np.ones(n + 1), 1.0, rtol=0.0, atol=1e-15)
-        # one grid Picard sweep is the operator at the interior nodes
+        # one grid Picard sweep is the operator at the interior nodes: on
+        # the initial iterate, which is 0 or affine, and on a random one,
+        # which checks every weight and column (the residual gate trusts B)
         f0 = picard.initial_iterate(p, g)
         np.testing.assert_allclose(b @ f0.values + k,
                                    p.operator(f0, g.nodes[1:-1]),
+                                   rtol=0.0, atol=1e-15)
+        f = grids.PiecewiseLinear(grid=g, values=rng.uniform(-1.0, 1.0, n + 1))
+        np.testing.assert_allclose(b @ f.values + k,
+                                   p.operator(f, g.nodes[1:-1]),
                                    rtol=0.0, atol=1e-15)
 
 
@@ -182,15 +190,6 @@ def test_boundary_values_exact():
     assert sol.solution.evaluate(1.0) == 1.0
 
 
-def test_interior_residual_invariant():
-    p = problem.paradise_fish(0.05, 0.2, 1.0)
-    sol = collocation.solve_collocation(p, 64)
-    interior = sol.grid.nodes[1:-1]
-    defect = np.abs(sol.solution.values[1:-1]
-                    - p.operator(sol.solution, interior)).max()
-    assert defect <= collocation.RESIDUAL_TOL
-
-
 def test_condition_recorded_at_every_n():
     p = problem.paradise_fish(0.0, 0.2, 1.0)
     for n in (16, 600, 4096):
@@ -280,6 +279,93 @@ def test_fallback_is_the_superlu_path(cause, monkeypatch):
     assert sol.stats.nonzeros == a.nnz
     np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
     assert sol.condition == linalg.condition_estimate(a, lu)
+
+
+def force_path(solver, name, monkeypatch):
+    """Route solve_collocation to ``solver``: SuperLU after a 3-sweep budget,
+    or the sweep with budget enough for fish09 (as test_sweep_matches_superlu)."""
+    if solver == "superlu":
+        monkeypatch.setattr(collocation, "MAX_SWEEPS", 3)
+    elif name == "fish09":
+        monkeypatch.setattr(collocation, "MAX_SWEEPS", 500)
+        monkeypatch.setattr(collocation, "RATE_SETTLED", 0.0)
+
+
+@pytest.mark.parametrize("solver", ["sweep", "superlu"])
+@pytest.mark.parametrize("name", sorted(sweep_problems()))
+def test_interior_residual_invariant(name, solver, monkeypatch):
+    # the solve's own gate evaluates the residual through B; this one
+    # evaluates it through the operator
+    p = sweep_problems()[name]
+    force_path(solver, name, monkeypatch)
+    sol = collocation.solve_collocation(p, 64)
+    assert sol.stats.solver == solver
+    interior = sol.grid.nodes[1:-1]
+    defect = np.abs(sol.solution.values[1:-1]
+                    - p.operator(sol.solution, interior)).max()
+    assert defect <= collocation.RESIDUAL_TOL
+
+
+class PerturbedFactor:
+    """A SuperLU factor whose solves of A x = rhs come back off by 1e-6 at one node."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs, trans="N"):
+        x = self.lu.solve(rhs, trans=trans)
+        if trans == "N":
+            x[x.size // 2] += 1e-6
+        return x
+
+
+@pytest.mark.parametrize("solver", ["sweep", "superlu"])
+def test_residual_gate_rejects_perturbed_solution(solver, monkeypatch):
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    force_path(solver, "paradise", monkeypatch)
+    if solver == "sweep":
+        real = collocation._certified_sweeps
+
+        def perturbed(*args):
+            u, bound, sweeps = real(*args)
+            u[u.size // 2] += 1e-6
+            return u, bound, sweeps
+
+        monkeypatch.setattr(collocation, "_certified_sweeps", perturbed)
+    else:
+        real = linalg.factor
+        monkeypatch.setattr(linalg, "factor", lambda a: PerturbedFactor(real(a)))
+    with pytest.raises(collocation.CollocationError,
+                       match="interior collocation residual .* exceeds 1e-09"):
+        collocation.solve_collocation(p, 64)
+
+
+def matmul_sweep(b, k, x):
+    """The sweep written with ``b @ x``: the reference for ``collocation.sweep``."""
+    new = b @ x
+    new += k
+    old = x[1:-1]
+    np.subtract(old, new, out=old)
+    increment = float(np.abs(old, out=old).max())
+    old[...] = new
+    return increment
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 97, 2 ** 14 + 1])
+def test_sweep_kernel_matches_matmul(n):
+    """sweep calls scipy's private CSR kernel; pin it to ``b @ x`` bit for bit."""
+    rng = np.random.default_rng(n)
+    cols = rng.integers(0, n + 1, size=(n - 1, 4)).astype(np.int32)
+    data = rng.uniform(0.0, 0.25, size=(n - 1, 4))
+    data[rng.random((n - 1, 4)) < 0.1] = 0.0
+    b = sparse.csr_array((data.ravel(), cols.ravel(), 4 * np.arange(n, dtype=np.int32)),
+                         shape=(n - 1, n + 1))
+    for k in (rng.uniform(-1.0, 1.0, n - 1), 1.0):
+        x = rng.uniform(-1.0, 1.0, n + 1)
+        ref = x.copy()
+        for _ in range(5):
+            assert collocation.sweep(b, k, x) == matmul_sweep(b, k, ref)
+            assert np.array_equal(x, ref)
 
 
 @pytest.mark.parametrize("beta", [0.9, 0.999])

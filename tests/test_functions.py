@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 
 from nfeq.functions import (DomainError, EvaluationError, FunctionHandle,
-                            as_handle, constant, eval_on, identity)
-
-
-def test_as_handle_passthrough():
-    h = FunctionHandle(eval=lambda t: t, label="x")
-    assert as_handle(h) is h
-
-
-def test_as_handle_wraps_callable():
-    h = as_handle(lambda t: 2.0 * t, label="double")
-    assert h.label == "double"
-    assert h(0.25) == 0.5
+                            constant, eval_on, identity)
 
 
 def test_constant_handle():

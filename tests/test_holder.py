@@ -64,14 +64,14 @@ def test_sup_norm_cusp():
 
 def test_lipschitz_norm_scaled_identity():
     f = FunctionHandle(eval=lambda t: 0.2 * np.asarray(t, dtype=float))
-    assert holder.estimate_lipschitz_norm(f) == pytest.approx(0.2, abs=1e-12)
+    assert holder.estimate_lipschitz_norms([f])[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_lipschitz_norm_affine():
     # |f(0)| = 0.7 plus slope 0.3
     alpha = 0.3
     f = FunctionHandle(eval=lambda t: alpha * np.asarray(t, float) + 1 - alpha)
-    assert holder.estimate_lipschitz_norm(f) == pytest.approx(1.0, abs=1e-12)
+    assert holder.estimate_lipschitz_norms([f])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_validation():

@@ -18,17 +18,17 @@ bit, so B, k and every iterate equal those of a whole-array build.
 For the convex combination 0 <= phi <= 1, B >= 0, and a nonsingular
 A = I - B_int (B_int: the interior columns of B) has A^-1 = sum_j B_int^j
 >= 0, so ||A^-1||_inf = ||A^-1 1||_inf exactly (M-matrix theory; Berman &
-Plemmons 1994, Varga). ``solve_collocation`` therefore sweeps the solution u
-and w = A^-1 1 together: after a sweep with increments du and dw < 1,
-||A^-1||_inf <= ||w||_inf / (1 - dw) and the nodal errors are at most that
-bound times du and dw. That bound gives the condition ||A||_inf ||A^-1||_inf
-without an estimator. Systems the sweep cannot certify (a negative entry of
-B, or a contraction too slow to reach SWEEP_TOL within MAX_SWEEPS sweeps)
-fall back to the sparse system I - B built from the same B, with at most 5
-nonzeros per row, and one SuperLU factor that also serves the condition
-estimate. On both paths the solution must pass one gate, the interior
-residual max |B u + k - u| <= RESIDUAL_TOL, one matvec with the B it was
-solved with; the tests check B itself against ``ProblemSpec.operator``.
+Plemmons 1994, Varga). ``solve_collocation`` sweeps u beside w -> A^-1 1 until
+w's increment dw <= W, then freezes w with the bound ||A^-1||_inf <= ||w||_inf
+/ (1 - dw) <= ||A^-1||_inf / (1 - W) and sweeps u alone until the bound times
+its increment du reaches SWEEP_TOL. It bounds the condition ||A||_inf
+||A^-1||_inf from above, without an estimator. Systems the sweep cannot certify
+(a negative entry of B, or a contraction too slow to reach SWEEP_TOL within
+MAX_SWEEPS sweeps) fall back to the sparse system I - B built from the same B,
+with at most 5 nonzeros per row, and one SuperLU factor that also serves the
+condition estimate. On both paths the solution must pass a gate, the interior
+residual max |B u + k - u| <= RESIDUAL_TOL, one matvec with the B it was solved
+with; the tests check B itself against ``ProblemSpec.operator``.
 """
 from __future__ import annotations
 
@@ -54,6 +54,8 @@ MAX_SWEEPS = 150
 #: w's contraction rate dw_j / dw_(j-1) counts as settled once 1 - rate
 #: changes by at most this fraction between sweeps
 RATE_SETTLED = 0.1
+#: w is frozen at dw <= W: its bound is then within 1 / (1 - W) of exact
+W = 0.01
 #: interior rows of B built at a time by ``delay_map``: a block's
 #: temporaries are 128 KiB per array, where whole-array ones at N = 2^18
 #: page-fault on every build (2^13 to 2^15 rows measured within 10%)
@@ -69,7 +71,7 @@ class AssemblyStats:
     nonzeros: int
     assembly_time: float
     solve_time: float
-    #: sweeps run, including those tried before a SuperLU fallback
+    #: sweeps of u run, including those tried before a SuperLU fallback
     sweeps: int
     #: "sweep" or "superlu": the path that solved the system
     solver: str
@@ -187,42 +189,40 @@ def sweep(b: sparse.csr_array, k, x: np.ndarray) -> float:
 
 def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
                       k: np.ndarray) -> tuple[np.ndarray | None, float, int]:
-    """Sweep u (data k) and w (data 1, zero boundary values) until both are certified.
+    """Sweep u (data k) until certified, and w (data 1) until dw <= W.
 
-    Needs B >= 0. Returns (u, bound on ||A^-1||_inf, sweeps run) once both
-    certified nodal errors, bound * du and bound * dw, are within SWEEP_TOL
-    of max(1, ||x||_inf). u is None when the sweep gives up: after
-    MAX_SWEEPS sweeps, as soon as w's settled contraction predicts that it
-    cannot stop within them, or when dw is still 1 at sweep N. Sweep j's
-    increment is ||B_int^(j-1) 1||_inf for the substochastic B_int; if it is
-    still 1 after N - 1 steps over the N - 1 interior nodes, the nodes
-    reached from its maximiser form a closed class with row sums 1, so A is
-    singular and SuperLU reports it.
+    Needs B >= 0. Returns (u, bound on ||A^-1||_inf, sweeps of u run) once
+    u's certified nodal error, bound * du, is within SWEEP_TOL of
+    max(1, ||u||_inf). Sweep j adds B_int^(j-1) 1 >= 0 to w (zero boundary
+    values), so A w >= 1 - dw_j; once dw_j <= W, w is frozen with the bound
+    ||w||_inf / (1 - dw_j) <= ||A^-1||_inf / (1 - W). u is None on a give-up.
+    Before the freeze: when w's settled rate predicts dw > SWEEP_TOL at
+    MAX_SWEEPS, or when dw is still 1 at sweep N (the nodes reached from
+    its maximiser then form a closed class with row sums 1, so A is singular
+    and SuperLU reports it). After it, dw_j = ||B_int^(j-1)||_inf <= W
+    certifies u's contraction, so only MAX_SWEEPS ends the sweep.
     """
-    n = b.shape[0] + 1
     u = np.zeros(b.shape[1])
     u[0], u[-1] = p.boundary_left, p.boundary_right
     w = np.zeros(b.shape[1])
-    dw = rate = np.inf
+    dw = rate = bound = np.inf
     for sweeps in range(1, MAX_SWEEPS + 1):
         du = sweep(b, k, u)
-        dw_prev, dw = dw, sweep(b, 1.0, w)
-        if dw >= 1.0 and sweeps >= n:
-            break
-        if dw < 1.0:
-            # w >= 0: B >= 0 and every sweep adds B^j 1 >= 0
-            norm_w = float(w.max())
-            bound = norm_w / (1.0 - dw)
-            if bound * dw <= SWEEP_TOL * max(1.0, norm_w) and \
-                    bound * du <= SWEEP_TOL * max(1.0, float(np.abs(u).max())):
-                return u, bound, sweeps
-        if 0.0 < dw_prev < 1.0:
-            # a stop needs dw <= SWEEP_TOL, as its bound is at least
-            # ||w||_inf >= 1; give up once the settled rate cannot get there
-            rate_prev, rate = rate, dw / dw_prev
-            if abs(rate - rate_prev) <= RATE_SETTLED * (1.0 - rate) and \
-                    rate ** (MAX_SWEEPS - sweeps) * dw > SWEEP_TOL:
+        if bound == np.inf:  # w not frozen yet
+            dw_prev, dw = dw, sweep(b, 1.0, w)
+            if dw >= 1.0 and sweeps > b.shape[0]:  # sweep N
                 break
+            if dw <= W:
+                # w >= 0: B >= 0 and every sweep adds B^j 1 >= 0
+                bound = float(w.max()) / (1.0 - dw)
+            elif 0.0 < dw_prev < 1.0:
+                # u contracts at w's rate, so dw predicts u's give-up too
+                rate_prev, rate = rate, dw / dw_prev
+                if abs(rate - rate_prev) <= RATE_SETTLED * (1.0 - rate) and \
+                        rate ** (MAX_SWEEPS - sweeps) * dw > SWEEP_TOL:
+                    break
+        if bound < np.inf and bound * du <= SWEEP_TOL * max(1.0, float(np.abs(u).max())):
+            return u, bound, sweeps
     return None, np.inf, sweeps
 
 

@@ -32,11 +32,11 @@ def product_formula(beta: float, t, tol: float = PRODUCT_TOL):
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     prod = np.ones_like(x)
-    live = np.flatnonzero(x >= tol)
-    while live.size:
-        prod[live] *= 1.0 - x[live]
-        x[live] *= beta
-        live = live[x[live] >= tol]
+    live = x >= tol
+    while live.any():
+        np.multiply(prod, 1.0 - x, out=prod, where=live)
+        np.multiply(x, beta, out=x, where=live)
+        live &= x >= tol
     out = 1.0 - prod
     return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 

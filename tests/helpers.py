@@ -185,3 +185,20 @@ def projector_norm_reference(gamma, grid, trials, m=holder.DEFAULT_SAMPLES):
     if used == 0:
         raise ValueError("all trial functions had zero sampled norm")
     return best
+
+
+def fancy_index_product(beta, t, tol=1e-16):
+    """1 - prod_n (1 - beta^n t) with the live points indexed out per factor.
+
+    The reference for ``oracles.product_formula``, which runs the same loop
+    on a boolean mask in place; ``t`` has been validated by the caller.
+    """
+    x = np.array(t, dtype=float).ravel()
+    prod = np.ones_like(x)
+    live = np.flatnonzero(x >= tol)
+    while live.size:
+        prod[live] *= 1.0 - x[live]
+        x[live] *= beta
+        live = live[x[live] >= tol]
+    out = 1.0 - prod
+    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))

@@ -230,7 +230,7 @@ def sweep_problems():
                                 base.phi2, 0.5).problem,
             "fish0": problem.paradise_fish(0.0, 0.2, 1.0),
             "fish09": problem.paradise_fish(0.05, 0.9, 1.0),
-            # u = 0 is exact from the first sweep: only w decides the stop
+            # u = 0 is exact from the first sweep: it stops at w's freeze
             "zero": replace(problem.paradise_fish(0.05, 0.2, 1.0),
                             boundary_right=0.0)}
 
@@ -258,7 +258,9 @@ def test_sweep_matches_superlu(name, n, monkeypatch):
         dense = a.toarray()
         exact = (np.abs(dense).sum(axis=1).max()
                  * np.abs(np.linalg.inv(dense)).sum(axis=1).max())
-        assert exact * (1.0 - 1e-12) <= sol.condition <= exact * (1.0 + 1e-9)
+        # the sweep's condition is a bound, at most 1 / (1 - W) above exact
+        ceiling = exact / (1.0 - collocation.W) * (1.0 + 1e-9)
+        assert exact * (1.0 - 1e-12) <= sol.condition <= ceiling
 
 
 @pytest.mark.parametrize("cause", ["negative B entry", "sweep budget"])
@@ -279,6 +281,68 @@ def test_fallback_is_the_superlu_path(cause, monkeypatch):
     assert sol.stats.nonzeros == a.nnz
     np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
     assert sol.condition == linalg.condition_estimate(a, lu)
+
+
+def random_substochastic_map(rng, n):
+    """A random (N-1)x(N+1) map B >= 0 with row sums in [0.3, 0.9], four
+    entries per row as ``delay_map`` builds them."""
+    cols = rng.integers(0, n + 1, size=(n - 1, 4)).astype(np.int32)
+    data = rng.uniform(0.0, 1.0, size=(n - 1, 4))
+    data *= rng.uniform(0.3, 0.9, size=(n - 1, 1)) / data.sum(axis=1, keepdims=True)
+    return sparse.csr_array((data.ravel(), cols.ravel(), 4 * np.arange(n, dtype=np.int32)),
+                            shape=(n - 1, n + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+def test_frozen_bound_brackets_exact_inverse_norm(n, monkeypatch):
+    # ||B_int||_inf <= 0.9 contracts within the budget, with no give-up
+    monkeypatch.setattr(collocation, "MAX_SWEEPS", 1000)
+    monkeypatch.setattr(collocation, "RATE_SETTLED", 0.0)
+    rng = np.random.default_rng(n)
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    for _ in range(20):
+        b = random_substochastic_map(rng, n)
+        k = rng.uniform(-1.0, 1.0, n - 1)
+        u, bound, sweeps = collocation._certified_sweeps(p, b, k)
+        assert u is not None
+        a = np.eye(n - 1) - b.toarray()[:, 1:-1]
+        exact_inv = np.abs(np.linalg.inv(a)).sum(axis=1).max()
+        assert exact_inv <= bound <= exact_inv / (1.0 - collocation.W) * (1.0 + 1e-12)
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    real = collocation.sweep
+    monkeypatch.setattr(collocation, "sweep",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [16, 1024, 4096])
+@pytest.mark.parametrize("name, most", [("cusp", 15), ("fish0", 30)])
+def test_sweeps_per_solve(name, most, n, monkeypatch):
+    # sweeping w to SWEEP_TOL beside u takes 18-22 (cusp) and 40-48 (fish0)
+    # sweep calls; freezing w at dw <= W takes 12-14 and 24-29
+    calls = count_sweeps(monkeypatch)
+    sol = collocation.solve_collocation(sweep_problems()[name], n)
+    assert sol.stats.solver == "sweep"
+    assert len(calls) <= most
+
+
+def test_budget_runs_out_after_freeze(monkeypatch):
+    # paradise freezes w within 7 sweeps but needs 23 for u; with the
+    # settled-rate give-up of the first phase off, the budget alone ends it
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    a, rhs = collocation.assemble(p, grids.UniformGrid(64))
+    lu = linalg.factor(a)
+    monkeypatch.setattr(collocation, "MAX_SWEEPS", 12)
+    monkeypatch.setattr(collocation, "RATE_SETTLED", 0.0)
+    calls = count_sweeps(monkeypatch)
+    sol = collocation.solve_collocation(p, 64)
+    assert len(calls) < 2 * collocation.MAX_SWEEPS  # w froze on the way
+    assert sol.stats.solver == "superlu"
+    assert sol.stats.sweeps == collocation.MAX_SWEEPS
+    np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
 
 
 def force_path(solver, name, monkeypatch):
@@ -422,13 +486,14 @@ def test_singular_system_surfaces_with_advisory():
 def test_singular_system_stops_sweeping_at_n(monkeypatch):
     # dw stays 1 on phi = 1: the sweep gives up at sweep N = 8, where it
     # ran all MAX_SWEEPS before
-    calls = []
-    real = collocation.sweep
-    monkeypatch.setattr(collocation, "sweep",
-                        lambda *args: calls.append(1) or real(*args))
+    calls = count_sweeps(monkeypatch)
     with pytest.raises(collocation.CollocationError):
         collocation.solve_collocation(singular_problem(), 8)
     assert 0 < len(calls) <= 2 * 8
+    p = singular_problem()
+    u, bound, sweeps = collocation._certified_sweeps(p, *collocation.delay_map(
+        p, grids.UniformGrid(8)))
+    assert u is None and bound == np.inf and sweeps == 8
 
 
 def test_min_subintervals():

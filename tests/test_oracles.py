@@ -4,6 +4,8 @@ import pytest
 from nfeq import oracles, problem
 from nfeq.functions import DomainError, FunctionHandle, constant, identity
 
+from helpers import fancy_index_product
+
 
 # ---------------------------------------------------------------------------
 # product formula
@@ -39,6 +41,23 @@ def test_product_formula_array_matches_scalar(beta):
     grid = oracles.product_formula(beta, ts[:200].reshape(10, 20))
     assert np.array_equal(grid, vals[:200].reshape(10, 20))
     assert type(oracles.product_formula(beta, 0.5)) is float
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
+def test_product_formula_matches_fancy_index_loop(beta):
+    rng = np.random.default_rng(11)
+    tol = 1e-6
+    # points below tol are never live; points at it get one factor
+    ts = np.concatenate(([0.0, 1.0, 0.5 * tol, tol, 2 * tol],
+                         rng.uniform(0.0, 1.0, 300), 10.0 ** -rng.uniform(0, 8, 100)))
+    for t in (ts, ts[:120].reshape(4, 30)):
+        got = oracles.product_formula(beta, t, tol)
+        assert np.array_equal(got, fancy_index_product(beta, t, tol))
+    for t in ts[:10]:
+        got = oracles.product_formula(beta, float(t), tol)
+        assert type(got) is float
+        assert got == fancy_index_product(beta, float(t), tol)
+        assert oracles.product_formula(beta, float(t)) == fancy_index_product(beta, float(t))
 
 
 def test_product_formula_names_first_bad_point():

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, collocation, grids, holder, linalg, picard, problem, study, svgplot
+from . import __version__, collocation, grids, holder, picard, problem, study, svgplot
 from .functions import eval_on
 from .oracles import ManufacturedProblem, cusp_solution, manufacture, oracle_by_name, smooth_parabola
 
@@ -355,8 +355,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         return _COMMANDS[args.command](args)
-    except (collocation.CollocationError, linalg.SingularMatrixError,
-            study.FitError) as exc:
+    except (collocation.CollocationError, study.FitError) as exc:
         _err(str(exc))
         return EXIT_NUMERICAL
     except (problem.ProblemValidationError, problem.FormError, ValueError,

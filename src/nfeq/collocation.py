@@ -2,33 +2,25 @@
 
 The system is assembled in the N-1 interior nodal unknowns instead of the
 per-interval slope/intercept pairs: with a continuous piecewise-linear
-ansatz the continuity constraints are automatic and the two formulations
-are algebraically equivalent (unit-tested on small N by reconstructing the
-slopes and intercepts). The discrete operator is one sparse delay map B
-(``delay_map``): collocation solves (I - B) u = k on the interior nodes, and
-the grid Picard sweep of ``nfeq.picard`` iterates u <- B u + k with the same
-B and the same ``sweep``. B is built DELAY_BLOCK_ROWS interior rows at a
-time, so its temporaries stay in cache at large N, and ``sweep`` calls
-scipy's CSR kernel directly and takes its increment in place in the old
-iterate instead of a fresh array. All are exact reorganisations: every
-entry of B and k comes from its own node by the same operations, the
-kernel is the one ``b @ x`` calls, and |old - new| is |new - old| bit for
-bit, so B, k and every iterate equal those of a whole-array build.
+ansatz the two formulations are algebraically equivalent (unit-tested on
+small N). The discrete operator is one sparse delay map B (``delay_map``):
+collocation solves (I - B) u = k on the interior nodes, and the grid Picard
+sweep of ``nfeq.picard`` iterates u <- B u + k with the same B and ``sweep``.
 
-For the convex combination 0 <= phi <= 1, B >= 0, and a nonsingular
-A = I - B_int (B_int: the interior columns of B) has A^-1 = sum_j B_int^j
->= 0, so ||A^-1||_inf = ||A^-1 1||_inf exactly (M-matrix theory; Berman &
-Plemmons 1994, Varga). ``solve_collocation`` sweeps u beside w -> A^-1 1 until
-w's increment dw <= W, then freezes w with the bound ||A^-1||_inf <= ||w||_inf
-/ (1 - dw) <= ||A^-1||_inf / (1 - W) and sweeps u alone until the bound times
-its increment du reaches SWEEP_TOL. It bounds the condition ||A||_inf
-||A^-1||_inf from above, without an estimator. Systems the sweep cannot certify
-(a negative entry of B, or a contraction too slow to reach SWEEP_TOL within
-MAX_SWEEPS sweeps) fall back to the sparse system I - B built from the same B,
-with at most 5 nonzeros per row, and one SuperLU factor that also serves the
-condition estimate. On both paths the solution must pass a gate, the interior
-residual max |B u + k - u| <= RESIDUAL_TOL, one matvec with the B it was solved
-with; the tests check B itself against ``ProblemSpec.operator``.
+B >= 0 is ``delay_map``'s invariant: phi and the delays pass the checked
+clamp at every node, and a value outside [0, 1] raises DomainError before
+any solver runs. Each row of B sums to 1, so a nonsingular A = I - B_int
+(B_int: the interior columns of B) has A^-1 = sum_j B_int^j >= 0 and
+||A^-1||_inf = ||A^-1 1||_inf exactly (M-matrix theory; Berman & Plemmons
+1994, Varga). ``solve_collocation`` sweeps u beside w -> A^-1 1 until
+dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
+||A^-1||_inf / (1 - W), and sweeps u alone until the bound times du reaches
+SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
+for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
+factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
+The condition is one formula on both paths, ||A||_inf times the bound or
+max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
+one matvec with the B they were solved with.
 """
 from __future__ import annotations
 
@@ -40,8 +32,8 @@ from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import linalg
-from .functions import eval_on
-from .grids import DomainError, PiecewiseLinear, UniformGrid, locate
+from .functions import DomainError, clamp_unit, eval_on
+from .grids import PiecewiseLinear, UniformGrid, locate
 from .problem import ProblemSpec, validate
 
 #: interior collocation residual the returned solution must satisfy
@@ -85,6 +77,17 @@ class CollocationSolution:
     stats: AssemblyStats
 
 
+def _checked(check, name: str, fn, ts: np.ndarray, lo: int):
+    """check(fn(ts)) at the nodes ts from interior row lo on, naming the node."""
+    vals = eval_on(fn, ts)
+    try:
+        return check(vals)
+    except DomainError as exc:
+        row = lo + exc.index
+        raise DomainError(f"{name}({float(ts[exc.index])!r}) = {float(vals[exc.index])!r} "
+                          f"outside [0,1] (collocation node {row + 1})", row) from None
+
+
 def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.ndarray]:
     """The delay map B over all N+1 nodes and the source k at the interior nodes.
 
@@ -98,12 +101,13 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     written into the preallocated output arrays, so the temporaries of a
     block stay in cache however large N is. Every entry is computed from
     its own node alone, by the same operations as a whole-array build, so
-    the blocking changes no bit of B or k. A delay that leaves [0, 1]
-    raises DomainError naming its global node. With several faulty nodes or
-    functions the error raised is the first one met block by block (phi,
-    phi1, phi2, then the source within a block), which need not be the one
-    a whole-array build, evaluating each function at every node in turn,
-    would raise first.
+    the blocking changes no bit of B or k.
+
+    phi's node values pass ``clamp_unit`` as the delays do in ``locate``, so
+    every B returned is >= 0 with unit row sums. A value beyond CLAMP_TOL of
+    [0, 1] raises DomainError naming the function, the value and its global
+    node: the first met block by block (phi, phi1, phi2, then the source),
+    which need not be the one a whole-array build would raise first.
     """
     n = grid.n
     if n < 2:
@@ -117,14 +121,10 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     for lo in range(0, n - 1, DELAY_BLOCK_ROWS):
         rows = slice(lo, lo + DELAY_BLOCK_ROWS)
         ts = interior[rows]
-        phi_vals = eval_on(p.phi, ts)
-        for col, coeff, delay in ((0, phi_vals, p.phi1), (2, 1.0 - phi_vals, p.phi2)):
-            try:
-                i, w = locate(grid, eval_on(delay, ts))
-            except DomainError as exc:
-                row = lo + exc.index
-                raise DomainError(f"delay argument {exc} (collocation node "
-                                  f"{row + 1})", row) from None
+        phi_vals = _checked(clamp_unit, "phi", p.phi, ts, lo)
+        for col, coeff, name, delay in ((0, phi_vals, "phi1", p.phi1),
+                                        (2, 1.0 - phi_vals, "phi2", p.phi2)):
+            i, w = _checked(lambda x: locate(grid, x), name, delay, ts, lo)
             data[rows, col] = coeff * (1.0 - w)
             data[rows, col + 1] = coeff * w
             indices[rows, col] = i
@@ -243,21 +243,19 @@ def _interior_norm(b: sparse.csr_array) -> float:
 def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     """Solve the collocation system on N = n subintervals.
 
-    The certified sweep solves it when B >= 0 and it stops within
-    MAX_SWEEPS; otherwise one SuperLU factor of the system built from the
-    same B serves the solve and the condition estimate.
+    The certified sweep solves it when it stops within MAX_SWEEPS;
+    otherwise one SuperLU factor of the system built from the same B serves
+    the solve and ||A^-1||_inf = max(A^-1 1). The condition is ||A||_inf
+    times the sweep's bound or that exact value.
     """
     validate(p)
     grid = UniformGrid(n)
     t0 = time.perf_counter()
-    b, k = delay_map(p, grid)
+    b, k = delay_map(p, grid)  # B >= 0, or it raised DomainError
     t1 = time.perf_counter()
-    # exact for the B built here, whatever validate's sampled checks saw
-    values, bound, sweeps = (_certified_sweeps(p, b, k) if b.data.min() >= 0.0
-                             else (None, np.inf, 0))
+    values, bound, sweeps = _certified_sweeps(p, b, k)
     t2 = time.perf_counter()
     if values is not None:
-        condition = _interior_norm(b) * bound
         nonzeros, solver = b.nnz, "sweep"
         assembly_time, solve_time = t1 - t0, t2 - t1
     else:
@@ -272,10 +270,13 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
         x = lu.solve(rhs)
         t4 = time.perf_counter()
         values = np.concatenate(([p.boundary_left], x, [p.boundary_right]))
-        condition = linalg.condition_estimate(a, lu)
+        # B >= 0 with unit row sums makes a nonsingular A an M-matrix, so
+        # A^-1 >= 0 and ||A^-1||_inf is its largest row sum, exactly
+        bound = float(lu.solve(np.ones(n - 1)).max())
         nonzeros, solver = a.nnz, "superlu"
         # the sweeps tried count as solve time
         assembly_time, solve_time = (t1 - t0) + (t3 - t2), (t2 - t1) + (t4 - t3)
+    condition = _interior_norm(b) * bound
     solution = PiecewiseLinear(grid=grid, values=values)
 
     # the interior collocation residual, through the B both paths solved with

@@ -1,10 +1,17 @@
-"""Evaluatable real-valued functions on [0, 1]."""
+"""Evaluatable real-valued functions on [0, 1], and the one domain policy:
+every value that must lie in [0, 1] passes ``clamp_unit``, and endpoint
+conditions hold to BOUNDARY_TOL."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+#: slop for clamping arguments that leave [0,1] by rounding only
+CLAMP_TOL = 1e-12
+#: endpoint conditions (phi1(1) = 1, a vanishing source or target) hold to this
+BOUNDARY_TOL = 1e-12
 
 
 class EvaluationError(ValueError):
@@ -23,6 +30,22 @@ class DomainError(ValueError):
     def __init__(self, message: str, index: int | None = None) -> None:
         super().__init__(message)
         self.index = index
+
+
+def clamp_unit(t) -> np.ndarray:
+    """Points t as a 1-d array clamped onto [0,1].
+
+    Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
+    further out, or NaN, raises DomainError carrying its index.
+    """
+    ts = np.array(t, dtype=float, ndmin=1)  # a copy: grids.locate writes into it
+    lo, hi = ts.min(initial=np.inf), ts.max(initial=-np.inf)  # an empty t passes
+    if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):  # NaN fails too
+        k = int(np.flatnonzero(~((ts >= -CLAMP_TOL) & (ts <= 1.0 + CLAMP_TOL)))[0])
+        raise DomainError(f"t={float(ts[k])!r} outside [0,1]", index=k)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(ts, 0.0, 1.0, out=ts)
+    return ts
 
 
 @dataclass(frozen=True)

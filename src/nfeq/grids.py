@@ -1,4 +1,8 @@
-"""Uniform grids, the piecewise-linear interpolation projector and its bounds."""
+"""Uniform grids, the piecewise-linear interpolation projector and its bounds.
+
+``locate`` checks every point with ``functions.clamp_unit``: the delays of
+``collocation.delay_map`` pass it, part of that map's invariant B >= 0.
+"""
 from __future__ import annotations
 
 import csv
@@ -7,11 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import DomainError, EvaluationError, eval_on
+from .functions import DomainError, EvaluationError, clamp_unit, eval_on
 from . import holder
 
-#: slop for clamping arguments that leave [0,1] by rounding only
-CLAMP_TOL = 1e-12
 #: cap on the default error sample count (the pair scan prunes most pairs
 #: of smooth errors, but scans every pair of a tied one)
 MAX_ERROR_SAMPLES = 4097
@@ -36,22 +38,6 @@ class UniformGrid:
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-
-def clamp_unit(t) -> np.ndarray:
-    """Points t as a 1-d array clamped onto [0,1].
-
-    Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
-    further out raises DomainError carrying its index.
-    """
-    ts = np.array(t, dtype=float, ndmin=1)  # a copy: locate writes into it
-    lo, hi = ts.min(), ts.max()
-    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
-        k = int(np.flatnonzero((ts < -CLAMP_TOL) | (ts > 1.0 + CLAMP_TOL))[0])
-        raise DomainError(f"t={float(ts[k])!r} outside [0,1]", index=k)
-    if lo < 0.0 or hi > 1.0:
-        np.clip(ts, 0.0, 1.0, out=ts)
-    return ts
 
 
 def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:

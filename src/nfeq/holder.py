@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import eval_on
+from .functions import BOUNDARY_TOL, clamp_unit, eval_on
 
 DEFAULT_SAMPLES = 513
 #: pairs closer than this are skipped (0/0 quotient)
@@ -408,15 +408,11 @@ def check_composition_bound(f, phi, gamma: float, m: int = DEFAULT_SAMPLES,
 
     The inner seminorm of f is taken over the uniform grid enriched with the
     image phi(grid) so every sampled quotient is covered by the sampled sup.
+    phi's samples pass ``clamp_unit``: one beyond CLAMP_TOL raises DomainError.
     """
     _check_gamma(gamma)
     ts = uniform_samples(m)
-    phis = eval_on(phi, ts)
-    if phis.min() < -1e-12 or phis.max() > 1.0 + 1e-12:
-        raise ValueError(
-            f"phi must map [0,1] into [0,1]; sampled range "
-            f"[{phis.min():.3g}, {phis.max():.3g}]")
-    phis = np.clip(phis, 0.0, 1.0)
+    phis = clamp_unit(eval_on(phi, ts))
 
     comp = eval_on(f, phis)
     b_comp = abs(float(comp[0]))
@@ -437,7 +433,7 @@ def check_composition_bound(f, phi, gamma: float, m: int = DEFAULT_SAMPLES,
         _report("composition norm bound",
                 norm_comp, abs(float(comp[0])) + sem_f * lip_phi ** gamma, slack),
     ]
-    if abs(f0) <= 1e-12:
+    if abs(f0) <= BOUNDARY_TOL:
         pointwise = float(np.abs(comp).max())
         reports.append(_report("composition pointwise bound",
                                pointwise, norm_f * norm_phi_lip ** gamma, slack))

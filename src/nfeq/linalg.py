@@ -1,11 +1,11 @@
 """Sparse direct solver: the fallback for collocation systems the sweep cannot certify.
 
 ``collocation.solve_collocation`` solves by a certified Picard sweep and
-comes here only when B has a negative entry or the sweep budget runs out.
-Then one SuperLU factor (``scipy.sparse.linalg.splu``; Li & Demmel, ACM TOMS
-2003) serves the solve and the condition estimate, which applies the
-Hager/Higham-Tisseur 1-norm estimator (Higham & Tisseur, SIAM J. Matrix
-Anal. Appl. 2000) to ``a^-T``. Dense ndarrays are converted on entry.
+comes here, to ``factor``, only when the sweep budget runs out or the system
+is singular. One SuperLU factor (``scipy.sparse.linalg.splu``; Li & Demmel,
+ACM TOMS 2003) serves the solve and ||a^-1||_inf. ``solve`` and the
+Hager/Higham-Tisseur estimator ``condition_estimate`` (SIAM J. Matrix Anal.
+Appl. 2000) have no caller in the package; tests and benchmark traces use them.
 """
 from __future__ import annotations
 

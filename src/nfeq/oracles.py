@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionHandle
-from .grids import clamp_unit
+from .functions import BOUNDARY_TOL, FunctionHandle, clamp_unit
 from .problem import ProblemSpec, residual
 
 #: default truncation threshold for the infinite product
@@ -21,14 +20,11 @@ def product_formula(beta: float, t, tol: float = PRODUCT_TOL):
     The product is truncated once beta^n * t drops below ``tol``; the
     relative truncation error is at most tol / (1 - beta). ``t`` is a point
     (giving a float) or an array of points; each point's factors are the
-    same float operations either way.
+    same float operations either way. Points pass through ``clamp_unit``.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    x = np.array(t, dtype=float).ravel()
-    outside = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
-    if outside.size:
-        raise ValueError(f"t={float(x[outside[0]])!r} outside [0,1]")
+    x = clamp_unit(t).ravel()
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     prod = np.ones_like(x)
@@ -81,12 +77,12 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
 
     k(t) = target(t) - phi(t) target(phi1(t)) - (1-phi(t)) target(phi2(t)),
     a composite closure so collocation can sample it at arbitrary nodes. The
-    delays pass through ``grids.clamp_unit``: rounding overshoot is clamped,
+    delays pass through ``functions.clamp_unit``: rounding overshoot is clamped,
     a larger one raises DomainError.
     """
     t0 = float(np.asarray(target(0.0), dtype=float))
     t1 = float(np.asarray(target(1.0), dtype=float))
-    if abs(t0) > 1e-12 or abs(t1) > 1e-12:
+    if abs(t0) > BOUNDARY_TOL or abs(t1) > BOUNDARY_TOL:
         raise ValueError(
             f"target must vanish at both endpoints, got {t0!r} and {t1!r}")
 

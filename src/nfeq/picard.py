@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import delay_map, sweep
-from .functions import eval_on
-from .grids import PiecewiseLinear, UniformGrid, clamp_unit
+from .functions import BOUNDARY_TOL, clamp_unit, eval_on
+from .grids import PiecewiseLinear, UniformGrid
 from .problem import ProblemSpec
 
 #: recursion cap: the exact evaluator costs 2^(depth+1)-1 node visits
@@ -69,7 +69,7 @@ def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[floa
     f_d(x) = phi(x) f_{d-1}(phi1(x)) + (1 - phi(x)) f_{d-1}(phi2(x)) + k(x).
     Below the top depth - BLOCK_LEVELS levels, each subtree is expanded
     from its own root, so memory stays bounded. Delay values pass through
-    ``grids.clamp_unit`` and every value through ``eval_on``.
+    ``functions.clamp_unit`` and every value through ``eval_on``.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -110,7 +110,7 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
 
     Its limit is the discrete fixed point shared with the collocation
     solution. The boundary values of f0, which may differ from the boundary
-    data by 1e-12, are replaced by the data. The trace holds the last
+    data by BOUNDARY_TOL, are replaced by the data. The trace holds the last
     iterate and every increment. On non-convergence the partial trace is
     returned with ``converged = False`` and a warning.
     """
@@ -120,8 +120,8 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if f0.grid.n != grid.n:
         raise ValueError(f"initial iterate lives on N={f0.grid.n}, expected N={grid.n}")
-    if abs(f0.values[0] - p.boundary_left) > 1e-12 or \
-            abs(f0.values[-1] - p.boundary_right) > 1e-12:
+    if abs(f0.values[0] - p.boundary_left) > BOUNDARY_TOL or \
+            abs(f0.values[-1] - p.boundary_right) > BOUNDARY_TOL:
         raise ValueError("initial iterate does not match the boundary values")
 
     b, k = delay_map(p, grid)

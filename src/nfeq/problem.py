@@ -14,11 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .functions import FunctionHandle, constant, eval_on, identity
-from .grids import CLAMP_TOL, clamp_unit
+from .functions import (BOUNDARY_TOL, CLAMP_TOL, FunctionHandle, clamp_unit, constant,
+                        eval_on, identity)
 from . import holder
-
-BOUNDARY_TOL = 1e-12
 
 
 class ProblemValidationError(ValueError):

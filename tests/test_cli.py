@@ -234,6 +234,26 @@ def test_custom_problem_from_csv(tmp_path, capsys):
     assert "solved N=16" in out
 
 
+def test_custom_problem_phi_outside_unit_interval(tmp_path, capsys):
+    # a tabulated phi = 1.5 is refused at the first node, before any solver
+    g = grids.UniformGrid(8)
+    handles = {
+        "phi": FunctionHandle(eval=lambda t: np.full_like(np.asarray(t, float), 1.5)),
+        "phi1": FunctionHandle(eval=lambda t: 0.5 + 0.5 * np.asarray(t, dtype=float)),
+        "phi2": FunctionHandle(eval=lambda t: 0.5 * np.asarray(t, dtype=float)),
+    }
+    args = ["solve", "--problem", "custom", "--gamma", "1", "--n", "256"]
+    for name, h in handles.items():
+        path = tmp_path / f"{name}.csv"
+        grids.write_csv(grids.project(h, g), path)
+        args += [f"--{name}-csv", str(path)]
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "phi(" in err and "= 1.5 outside [0,1] (collocation node 1)" in err
+
+
 def test_custom_problem_missing_tables(capsys):
     code, _, err = run(["solve", "--problem", "custom"], capsys)
     assert code == 1

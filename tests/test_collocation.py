@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from nfeq import collocation, grids, linalg, picard, problem
+from nfeq import collocation, functions, grids, linalg, picard, problem
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture
 
@@ -197,14 +197,6 @@ def test_condition_recorded_at_every_n():
         assert np.isfinite(cond) and cond >= 1.0
 
 
-def phi_above_one_problem():
-    """paradise_fish(0.05, 0.2) with phi = 1.2 t: phi > 1 beyond t = 5/6, so B
-    has negative entries there."""
-    p = problem.paradise_fish(0.05, 0.2, 1.0)
-    return replace(p, phi=FunctionHandle(eval=lambda t: 1.2 * np.asarray(t, float),
-                                         label="1.2t"))
-
-
 def count_splu(monkeypatch):
     calls = []
     real = linalg.splu
@@ -214,10 +206,12 @@ def count_splu(monkeypatch):
 
 def test_one_factorization_per_solve(monkeypatch):
     calls = count_splu(monkeypatch)
-    sol = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2, 1.0), 64)
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    sol = collocation.solve_collocation(p, 64)
     assert len(calls) == 0
     assert np.isfinite(sol.condition)
-    sol = collocation.solve_collocation(phi_above_one_problem(), 64)
+    monkeypatch.setattr(collocation, "MAX_SWEEPS", 3)
+    sol = collocation.solve_collocation(p, 64)
     assert len(calls) == 1
     assert np.isfinite(sol.condition)
 
@@ -263,24 +257,42 @@ def test_sweep_matches_superlu(name, n, monkeypatch):
         assert exact * (1.0 - 1e-12) <= sol.condition <= ceiling
 
 
-@pytest.mark.parametrize("cause", ["negative B entry", "sweep budget"])
-def test_fallback_is_the_superlu_path(cause, monkeypatch):
-    if cause == "negative B entry":
-        p, sweeps = phi_above_one_problem(), 0
-    else:
-        p, sweeps = problem.paradise_fish(0.05, 0.2, 1.0), 3
-        monkeypatch.setattr(collocation, "MAX_SWEEPS", sweeps)
+@pytest.mark.parametrize("sweeps", [3], ids=["sweep budget"])
+def test_fallback_is_the_superlu_path(sweeps, monkeypatch):
+    # B >= 0 always, so an exhausted budget is the fallback that solves
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    monkeypatch.setattr(collocation, "MAX_SWEEPS", sweeps)
     g = grids.UniformGrid(64)
     a, rhs = collocation.assemble(p, g)
     lu = linalg.factor(a)
+    estimate = linalg.condition_estimate(a, lu)
     calls = count_splu(monkeypatch)
+    # the fallback's condition comes from the factor, not the estimator
+    monkeypatch.setattr(linalg, "condition_estimate",
+                        lambda *args: pytest.fail("estimator called"))
     sol = collocation.solve_collocation(p, 64)
     assert len(calls) == 1
     assert sol.stats.solver == "superlu"
     assert sol.stats.sweeps == sweeps
     assert sol.stats.nonzeros == a.nnz
     np.testing.assert_array_equal(sol.solution.values[1:-1], lu.solve(rhs))
-    assert sol.condition == linalg.condition_estimate(a, lu)
+    assert sol.condition == estimate
+
+
+@pytest.mark.parametrize("beta, budget", [(0.85, None), (0.99, None), (0.999, None),
+                                          (0.2, 3)])
+def test_fallback_condition_is_exact(beta, budget, monkeypatch):
+    # A^-1 >= 0, so ||A||_inf max(A^-1 1) is the exact condition number
+    if budget is not None:
+        monkeypatch.setattr(collocation, "MAX_SWEEPS", budget)
+    p = problem.paradise_fish(0.05, beta, 1.0)
+    for n in (16, 64, 97, 512):
+        sol = collocation.solve_collocation(p, n)
+        assert sol.stats.solver == "superlu"
+        dense = collocation.assemble(p, grids.UniformGrid(n))[0].toarray()
+        exact = (np.abs(dense).sum(axis=1).max()
+                 * np.abs(np.linalg.inv(dense)).sum(axis=1).max())
+        assert abs(sol.condition - exact) <= 1e-12 * exact
 
 
 def random_substochastic_map(rng, n):
@@ -475,6 +487,44 @@ def test_assemble_delay_domain():
     # beyond it, the first offending collocation node (t = 1/2) is named
     with pytest.raises(grids.DomainError, match=r"collocation node 2\b"):
         collocation.assemble(replace(p, phi1=tail(1.001)), g)
+
+
+@pytest.mark.parametrize("phi, node", [
+    # 1.2 t > 1 from t = 5/6 on: node 54 = floor(5 N / 6) + 1 at N = 64
+    (FunctionHandle(eval=lambda t: 1.2 * np.asarray(t, dtype=float), label="1.2t"), 54),
+    (constant(-0.1), 1),
+], ids=["1.2t", "-0.1"])
+def test_phi_outside_unit_interval_raises(phi, node):
+    # no phi outside [0, 1] at a node reaches a solver: B >= 0 by construction
+    p = replace(problem.paradise_fish(0.05, 0.2, 1.0), phi=phi)
+    g = grids.UniformGrid(64)
+    for run in (lambda: collocation.delay_map(p, g),
+                lambda: collocation.solve_collocation(p, 64),
+                lambda: picard.picard_grid(p, g, picard.initial_iterate(p, g))):
+        with pytest.raises(grids.DomainError,
+                           match=rf"^phi\(.*\) = .* outside \[0,1\] "
+                                 rf"\(collocation node {node}\)$") as exc:
+            run()
+        assert exc.value.index == node - 1
+        assert str(exc.value).count("\n") == 0
+
+
+def test_phi_within_clamp_tol_builds_clamped_map():
+    # as for the delays, phi overshooting [0, 1] by rounding is clamped onto it
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    g = grids.UniformGrid(16)
+
+    def phi(lo, hi):
+        return FunctionHandle(eval=lambda t: np.where(
+            t >= 0.5, hi, np.where(t <= 0.25, lo, np.asarray(t, dtype=float))))
+
+    over = functions.CLAMP_TOL
+    b, k = collocation.delay_map(replace(p, phi=phi(-over, 1.0 + over)), g)
+    ref_b, ref_k = collocation.delay_map(replace(p, phi=phi(0.0, 1.0)), g)
+    np.testing.assert_array_equal(b.data, ref_b.data)
+    np.testing.assert_array_equal(b.indices, ref_b.indices)
+    np.testing.assert_array_equal(k, ref_k)
+    assert b.data.min() >= 0.0
 
 
 def test_singular_system_surfaces_with_advisory():

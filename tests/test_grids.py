@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfeq import grids
-from nfeq.functions import EvaluationError, FunctionHandle, constant, identity
+from nfeq.functions import CLAMP_TOL, EvaluationError, FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution
 
 from helpers import poly_handle, projector_norm_reference
@@ -72,6 +72,7 @@ def test_domain_clamping_and_error():
     (0.75, None),
     (1.0 + 5e-13, None),
     (-1e-3, 0),
+    (np.array([0.5, np.nan, 2.0]), 1),
 ])
 def test_clamp_unit_values_and_error_index(t, bad):
     if bad is None:
@@ -106,7 +107,7 @@ def test_locate_matches_searchsorted(data):
     js = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=50)))
     js = np.concatenate((js, np.arange(0, n + 1, max(1, n // 1000))))
     near = nodes[js]
-    over = data.draw(st.floats(0.0, grids.CLAMP_TOL), label="overshoot")
+    over = data.draw(st.floats(0.0, CLAMP_TOL), label="overshoot")
     free = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20), label="points")
     ts = np.concatenate((near, np.nextafter(near, -1.0), np.nextafter(near, 2.0),
                          js / n, (np.minimum(js, n - 1) + 0.5) / n,

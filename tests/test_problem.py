@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfeq import grids, holder, problem
+from nfeq import functions, grids, holder, problem
 from nfeq.collocation import solve_collocation
 from nfeq.functions import FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture, product_solution
@@ -267,18 +267,18 @@ def test_validate_range_is_the_clamp_tolerance():
     from dataclasses import replace
     ts = holder.uniform_samples(holder.DEFAULT_SAMPLES)
     for over, accepted in ((0.5, True), (2.0, False)):
-        top = 1.0 + over * grids.CLAMP_TOL
+        top = 1.0 + over * functions.CLAMP_TOL
         p = replace(problem.paradise_fish(0.1, 0.3, 1.0), phi1=FunctionHandle(
             eval=lambda t, top=top: np.where(np.asarray(t) == 0.5, top,
                                              0.9 + 0.1 * np.asarray(t, dtype=float))))
         if accepted:
             problem.validate(p)
-            assert grids.clamp_unit(p.phi1(ts)).max() == 1.0
+            assert functions.clamp_unit(p.phi1(ts)).max() == 1.0
         else:
             with pytest.raises(problem.ProblemValidationError, match="phi1 leaves"):
                 problem.validate(p)
-            with pytest.raises(grids.DomainError):
-                grids.clamp_unit(p.phi1(ts))
+            with pytest.raises(functions.DomainError):
+                functions.clamp_unit(p.phi1(ts))
 
 
 def test_operator_matches_definition():

@@ -52,10 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--stats", action="store_true",
                          help="print assembly stats as key=value")
 
-    p_cert = sub.add_parser("certify", help="print the contraction certificate")
-    add_problem_flags(p_cert)
-    p_cert.add_argument("--analytic-norms", action="store_true",
-                        help="use the family's exact coefficient norms")
+    add_problem_flags(sub.add_parser("certify", help="print the contraction certificate"))
 
     p_pic = sub.add_parser("picard", help="grid fixed-point iteration")
     add_problem_flags(p_pic)
@@ -223,12 +220,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     spec, _, norms = _build_problem(args)
-    overrides = norms if args.analytic_norms else None
-    if overrides is None:
-        print("warning: certification uses sampled norms (lower bounds); "
-              "pass --analytic-norms for the family's exact values",
+    if norms is None:
+        print("warning: certification uses sampled norms (lower bounds)",
               file=sys.stderr)
-    cert = problem.certify(spec, m=args.samples, overrides=overrides)
+    cert = problem.certify(spec, m=args.samples, overrides=norms)
     print(f"norm_phi_gamma={cert.norm_phi_gamma:.12g}")
     print(f"norm_phi1_lip={cert.norm_phi1_lip:.12g}")
     print(f"norm_phi2_lip={cert.norm_phi2_lip:.12g}")

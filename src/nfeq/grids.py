@@ -100,11 +100,6 @@ class PiecewiseLinear:
     def label(self) -> str:
         return f"pwl(N={self.grid.n})"
 
-    # lets eval_on treat a PiecewiseLinear like a FunctionHandle
-    @property
-    def eval(self):
-        return self.evaluate
-
 
 def project(f, grid: UniformGrid) -> PiecewiseLinear:
     """Interpolate f at the grid nodes (the projector's defining data)."""

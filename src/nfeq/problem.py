@@ -10,7 +10,6 @@ zero-boundary form with a source term k vanishing at the endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,7 @@ class ProblemSpec:
     def operator(self, f, t):
         """Apply the substitution operator Tf plus the source at points t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        pt = eval_on(self.phi, ts)
+        pt = clamp_unit(eval_on(self.phi, ts))
         x1 = clamp_unit(eval_on(self.phi1, ts))
         x2 = clamp_unit(eval_on(self.phi2, ts))
         out = (pt * eval_on(f, x1) + (1.0 - pt) * eval_on(f, x2)
@@ -85,12 +84,12 @@ def validate(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES) -> None:
 
 @dataclass(frozen=True)
 class NormOverrides:
-    """Analytic coefficient norms, overriding sampled estimates in certify."""
+    """Exact coefficient norms, used by certify in place of sampled ones."""
 
-    norm_phi_gamma: Optional[float] = None
-    norm_phi1_lip: Optional[float] = None
-    norm_phi2_lip: Optional[float] = None
-    phi1_at_zero: Optional[float] = None
+    norm_phi_gamma: float
+    norm_phi1_lip: float
+    norm_phi2_lip: float
+    phi1_at_zero: float
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,12 @@ class ContractionCertificate:
 
 def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
             overrides: NormOverrides | None = None) -> ContractionCertificate:
-    """Build the contraction certificate from (sampled or supplied) norms.
+    """Build the contraction certificate from sampled or supplied norms.
 
-    Sampled norms are lower bounds, so certification without analytic
-    overrides is heuristic: it can declare contraction where the true
-    factors are slightly larger.
+    With ``overrides`` it uses their four norms; without, it samples all
+    four on m points. Sampled norms are lower bounds, so that certificate
+    is heuristic: it can declare contraction where the true factors are
+    slightly larger.
 
     ``satisfies_existence`` (the paper's fixed_point_factor < 1) cannot hold
     when |phi(1)| >= 1, as for every built-in family (phi = t). validate
@@ -124,18 +124,14 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
     as the paper states it.
     """
     validate(p, m)
-    ov = overrides or NormOverrides()
     g = p.gamma
-    ng = ov.norm_phi_gamma if ov.norm_phi_gamma is not None else \
-        holder.estimate_hoelder_norm(p.phi, g, m).norm
-    n1, n2 = ov.norm_phi1_lip, ov.norm_phi2_lip
-    if n1 is None or n2 is None:
-        # both delays on the same samples: one Lipschitz pair scan
-        lip1, lip2 = holder.estimate_lipschitz_norms([p.phi1, p.phi2], m)
-        n1 = lip1 if n1 is None else n1
-        n2 = lip2 if n2 is None else n2
-    p10 = ov.phi1_at_zero if ov.phi1_at_zero is not None else \
-        float(eval_on(p.phi1, np.array([0.0]))[0])
+    if overrides is None:
+        ng = holder.estimate_hoelder_norm(p.phi, g, m).norm
+        n1, n2 = holder.estimate_lipschitz_norms([p.phi1, p.phi2], m)
+        p10 = float(eval_on(p.phi1, np.array([0.0]))[0])
+    else:
+        ng, n1, n2, p10 = (overrides.norm_phi_gamma, overrides.norm_phi1_lip,
+                           overrides.norm_phi2_lip, overrides.phi1_at_zero)
 
     drift = max(n1 - p10, 0.0)
     lipschitz = 2.0 * ng * (n2 ** g + drift ** g)

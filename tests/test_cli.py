@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nfeq import cli, grids
+from nfeq import cli, grids, problem
 from nfeq.functions import FunctionHandle
 
 
@@ -17,19 +17,61 @@ def run(argv, capsys):
 
 def test_certify_paradise_analytic(capsys):
     code, out, err = run(["certify", "--problem", "paradise",
-                          "--alpha", "0.05", "--beta", "0.2", "--gamma", "1",
-                          "--analytic-norms"], capsys)
+                          "--alpha", "0.05", "--beta", "0.2", "--gamma", "1"], capsys)
     assert code == 0
     assert "lipschitz_factor=0.5" in out
     assert "existence_by_corollary=True" in out
     assert "warning" not in err
 
 
-def test_certify_sampled_norms_warn(capsys):
-    code, out, err = run(["certify", "--problem", "section5"], capsys)
+def tabulated_problem_args(tmp_path):
+    """--problem custom flags for phi = t, phi1 = 1, phi2 = 0.2 t tabulated at N = 64."""
+    g = grids.UniformGrid(64)
+    handles = {
+        "phi": FunctionHandle(eval=lambda t: np.asarray(t, dtype=float)),
+        "phi1": FunctionHandle(eval=lambda t: np.ones_like(np.asarray(t, float))),
+        "phi2": FunctionHandle(eval=lambda t: 0.2 * np.asarray(t, dtype=float)),
+    }
+    args = ["--problem", "custom", "--gamma", "1"]
+    for name, h in handles.items():
+        path = tmp_path / f"{name}.csv"
+        grids.write_csv(grids.project(h, g), path)
+        args += [f"--{name}-csv", str(path)]
+    return args
+
+
+def test_certify_sampled_norms_warn(tmp_path, capsys):
+    # tabulated data has no exact norms: the sampled ones are flagged
+    code, out, err = run(["certify"] + tabulated_problem_args(tmp_path), capsys)
     assert code == 0
     assert "lower bounds" in err
+    assert "satisfies_collocation=" in out
+    # a built-in family certifies with its exact norms, and says nothing
+    code, out, err = run(["certify", "--problem", "section5"], capsys)
+    assert code == 0
+    assert err == ""
     assert "satisfies_collocation=True" in out
+
+
+def test_certify_analytic_norms_flag_is_gone(capsys):
+    code, out, err = run(["certify", "--problem", "paradise", "--analytic-norms"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--analytic-norms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "paradise", "--alpha", "0.05", "--beta", "0.2", "--gamma", "1"],
+    ["--problem", "section5", "--alpha", "0.02", "--gamma", "1"],
+    ["--problem", "cusp"],
+], ids=["paradise", "section5", "cusp"])
+def test_certify_prints_the_exact_family_norms(argv, capsys):
+    spec, _, norms = cli._build_problem(cli._build_parser().parse_args(["certify"] + argv))
+    cert = problem.certify(spec, overrides=norms)
+    code, out, err = run(["certify"] + argv, capsys)
+    assert code == 0 and err == ""
+    assert f"lipschitz_factor={cert.lipschitz_factor:.12g}\n" in out
+    assert f"norm_phi2_lip={norms.norm_phi2_lip:.12g}\n" in out
 
 
 def test_certify_invalid_gamma(capsys):
@@ -182,7 +224,7 @@ def test_config_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 0.1  # overrides the flag\n")
     code, out, _ = run(["certify", "--problem", "paradise", "--alpha", "0.05",
-                        "--beta", "0.2", "--gamma", "1", "--analytic-norms",
+                        "--beta", "0.2", "--gamma", "1",
                         "--config", str(cfg)], capsys)
     assert code == 0
     assert "lipschitz_factor=0.6" in out
@@ -215,21 +257,8 @@ def test_config_unparseable_boolean(tmp_path, capsys):
 
 
 def test_custom_problem_from_csv(tmp_path, capsys):
-    g = grids.UniformGrid(64)
-    handles = {
-        "phi": FunctionHandle(eval=lambda t: np.asarray(t, dtype=float)),
-        "phi1": FunctionHandle(eval=lambda t: np.ones_like(np.asarray(t, float))),
-        "phi2": FunctionHandle(eval=lambda t: 0.2 * np.asarray(t, dtype=float)),
-    }
-    paths = {}
-    for name, h in handles.items():
-        paths[name] = tmp_path / f"{name}.csv"
-        grids.write_csv(grids.project(h, g), paths[name])
-    code, out, _ = run(["solve", "--problem", "custom", "--gamma", "1",
-                        "--phi-csv", str(paths["phi"]),
-                        "--phi1-csv", str(paths["phi1"]),
-                        "--phi2-csv", str(paths["phi2"]),
-                        "--n", "16"], capsys)
+    code, out, _ = run(["solve"] + tabulated_problem_args(tmp_path) + ["--n", "16"],
+                       capsys)
     assert code == 0
     assert "solved N=16" in out
 

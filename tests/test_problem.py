@@ -66,17 +66,44 @@ def test_certificate_internal_consistency():
         (cert.lipschitz_factor < cert.collocation_threshold)
 
 
-@pytest.mark.parametrize("override", [None, "phi1", "phi2"])
-def test_certify_matches_per_function_estimates(override):
+def test_certify_matches_per_function_estimates():
     base = problem.section5(0.02, 0.5)
     p = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5).problem
     m = 1025
-    ov = problem.NormOverrides(**{f"norm_{override}_lip": 7.0} if override else {})
-    cert = problem.certify(p, m=m, overrides=ov)
+    cert = problem.certify(p, m=m)
     assert cert.norm_phi_gamma == holder.estimate_hoelder_norm(p.phi, 0.5, m).norm
     for name, fn in (("phi1", p.phi1), ("phi2", p.phi2)):
-        expected = 7.0 if name == override else holder.estimate_hoelder_norm(fn, 1.0, m).norm
-        assert getattr(cert, f"norm_{name}_lip") == expected
+        assert getattr(cert, f"norm_{name}_lip") == holder.estimate_hoelder_norm(fn, 1.0, m).norm
+
+
+def test_norm_overrides_take_all_four_norms():
+    with pytest.raises(TypeError):
+        problem.NormOverrides()
+    with pytest.raises(TypeError):
+        problem.NormOverrides(norm_phi_gamma=1.0, norm_phi1_lip=1.0, norm_phi2_lip=0.2)
+    with pytest.raises(TypeError):
+        problem.NormOverrides(norm_phi1_lip=7.0)
+
+
+_NORM_FIELDS = ("norm_phi_gamma", "norm_phi1_lip", "norm_phi2_lip", "phi1_at_zero")
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+def test_family_norms_match_sampled_norms(gamma):
+    # the CLI certifies every built-in family with these exact norms, so
+    # each must agree with the sampled estimate it replaces
+    for alpha in (0.0, 0.02, 0.1, 0.5, 1.0):
+        for beta in (0.0, 0.2, 0.5, 0.999, 1.0):
+            exact = problem.paradise_fish_norms(alpha, beta)
+            sampled = problem.certify(problem.paradise_fish(alpha, beta, gamma))
+            for name in _NORM_FIELDS:
+                assert getattr(sampled, name) == pytest.approx(
+                    getattr(exact, name), rel=0, abs=1e-12), (alpha, beta, name)
+        exact = problem.section5_norms(alpha)
+        sampled = problem.certify(problem.section5(alpha, gamma))
+        for name in _NORM_FIELDS:
+            assert getattr(sampled, name) == pytest.approx(
+                getattr(exact, name), rel=0, abs=1e-12), (alpha, name)
 
 
 def test_certify_override_monotonicity():
@@ -259,6 +286,34 @@ def test_operator_delay_domain():
     with pytest.raises(grids.DomainError) as exc:
         far.operator(f, [0.25, 0.5, 0.75])
     assert exc.value.index == 1
+
+
+def test_residual_refuses_phi_outside_unit_interval():
+    from dataclasses import replace
+    p = replace(problem.paradise_fish(0.05, 0.2), phi=constant(1.5))
+    with pytest.raises(functions.DomainError):
+        problem.residual(p, identity(), 101)
+    with pytest.raises(functions.DomainError):
+        manufacture(cusp_solution(0.5), constant(1.5), p.phi1, p.phi2, 0.5)
+
+
+def test_residual_clamps_phi_within_clamp_tol():
+    # phi runs from -CLAMP_TOL to 1 + CLAMP_TOL: the same residual, bit for
+    # bit, as phi clamped onto [0, 1]
+    from dataclasses import replace
+    tol = functions.CLAMP_TOL
+
+    def near(t):
+        return np.asarray(t, dtype=float) * (1.0 + 2.0 * tol) - tol
+
+    p = problem.paradise_fish(0.05, 0.2)
+    f = FunctionHandle(eval=lambda t: np.sqrt(np.asarray(t, dtype=float)))
+    outside = replace(p, phi=FunctionHandle(eval=near))
+    clamped = replace(p, phi=FunctionHandle(eval=lambda t: np.clip(near(t), 0.0, 1.0)))
+    assert near(0.0) < 0.0 and near(1.0) > 1.0
+    ts = holder.uniform_samples(101)
+    assert np.array_equal(outside.operator(f, ts), clamped.operator(f, ts))
+    assert problem.residual(outside, f, 101) == problem.residual(clamped, f, 101)
 
 
 def test_validate_range_is_the_clamp_tolerance():

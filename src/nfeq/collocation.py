@@ -5,7 +5,8 @@ per-interval slope/intercept pairs: with a continuous piecewise-linear
 ansatz the two formulations are algebraically equivalent (unit-tested on
 small N). The discrete operator is one sparse delay map B (``delay_map``):
 collocation solves (I - B) u = k on the interior nodes, and the grid Picard
-sweep of ``nfeq.picard`` iterates u <- B u + k with the same B and ``sweep``.
+sweep of ``nfeq.picard`` iterates u <- B u + k with the same B and ``sweep``,
+between two iterate buffers that swap roles after each sweep.
 
 B >= 0 is ``delay_map``'s invariant: phi and the delays pass the checked
 clamp at every node, and a value outside [0, 1] raises DomainError before
@@ -32,7 +33,7 @@ from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import linalg
-from .functions import DomainError, clamp_unit, eval_on
+from .functions import checked_unit, eval_on
 from .grids import PiecewiseLinear, UniformGrid, locate
 from .problem import ProblemSpec, validate
 
@@ -77,17 +78,6 @@ class CollocationSolution:
     stats: AssemblyStats
 
 
-def _checked(check, name: str, fn, ts: np.ndarray, lo: int):
-    """check(fn(ts)) at the nodes ts from interior row lo on, naming the node."""
-    vals = eval_on(fn, ts)
-    try:
-        return check(vals)
-    except DomainError as exc:
-        row = lo + exc.index
-        raise DomainError(f"{name}({float(ts[exc.index])!r}) = {float(vals[exc.index])!r} "
-                          f"outside [0,1] (collocation node {row + 1})", row) from None
-
-
 def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.ndarray]:
     """The delay map B over all N+1 nodes and the source k at the interior nodes.
 
@@ -97,17 +87,17 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     for the piecewise-linear u with nodal values u. Entries may repeat a
     column or be zero; sums over a row are unaffected.
 
-    B and k are built DELAY_BLOCK_ROWS interior rows at a time, each block
-    written into the preallocated output arrays, so the temporaries of a
-    block stay in cache however large N is. Every entry is computed from
-    its own node alone, by the same operations as a whole-array build, so
-    the blocking changes no bit of B or k.
+    B and k are built DELAY_BLOCK_ROWS interior rows at a time, the weights
+    and indices written in place into the output arrays, so a block's few
+    temporaries stay in cache however large N is. Every entry is computed
+    from its own node alone, by the same operations as a whole-array build,
+    so the blocking changes no bit of B or k.
 
-    phi's node values pass ``clamp_unit`` as the delays do in ``locate``, so
-    every B returned is >= 0 with unit row sums. A value beyond CLAMP_TOL of
-    [0, 1] raises DomainError naming the function, the value and its global
-    node: the first met block by block (phi, phi1, phi2, then the source),
-    which need not be the one a whole-array build would raise first.
+    phi and the delays pass ``checked_unit``, so every B returned is >= 0
+    with unit row sums. A value beyond CLAMP_TOL of [0, 1] raises
+    DomainError naming the function, the point, the value and the node: the
+    first met block by block (phi, phi1, phi2, then the source), not always
+    the one a whole-array build would raise first.
     """
     n = grid.n
     if n < 2:
@@ -121,16 +111,16 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     for lo in range(0, n - 1, DELAY_BLOCK_ROWS):
         rows = slice(lo, lo + DELAY_BLOCK_ROWS)
         ts = interior[rows]
-        phi_vals = _checked(clamp_unit, "phi", p.phi, ts, lo)
+        phi_vals = checked_unit("phi", p.phi, ts, row=lo)
         for col, coeff, name, delay in ((0, phi_vals, "phi1", p.phi1),
                                         (2, 1.0 - phi_vals, "phi2", p.phi2)):
-            i, w = _checked(lambda x: locate(grid, x), name, delay, ts, lo)
-            data[rows, col] = coeff * (1.0 - w)
-            data[rows, col + 1] = coeff * w
+            i, w = checked_unit(name, delay, ts, lambda x: locate(grid, x), lo)
+            np.multiply(coeff, w, out=data[rows, col + 1])
+            np.multiply(coeff, np.subtract(1.0, w, out=w), out=data[rows, col])
             indices[rows, col] = i
-            indices[rows, col + 1] = i + 1
+            np.add(i, 1, out=indices[rows, col + 1], casting="unsafe")
         k[rows] = eval_on(p.source, ts)
-    b = sparse.csr_array((data.ravel(), indices.ravel(), 4 * np.arange(n, dtype=idx)),
+    b = sparse.csr_array((data.ravel(), indices.ravel(), np.arange(0, 4 * n, 4, dtype=idx)),
                          shape=(n - 1, n + 1))
     return b, k
 
@@ -168,23 +158,19 @@ def _interior_system(p: ProblemSpec, b: sparse.csr_array,
     return a, k + b @ boundary
 
 
-def sweep(b: sparse.csr_array, k, x: np.ndarray) -> float:
-    """One Picard sweep x[1:-1] <- B x + k in place, boundary values pinned.
+def sweep(b: sparse.csr_array, k, x: np.ndarray, y: np.ndarray) -> float:
+    """One Picard sweep y[1:-1] <- B x + k; no array of iterate size is made.
 
-    B x is one call to scipy's CSR kernel into a zeroed array, the call
-    ``b @ x`` ends in, without the operator's dispatch around it. Returns
-    the largest interior increment |x_old - x_new|, taken in place in
-    x[1:-1] before the new values are stored, so no increment array is
-    allocated; |x_old - x_new| equals |x_new - x_old| bit for bit.
+    x and y share boundary values, and the caller swaps them after a sweep.
+    B x runs scipy's CSR kernel into the zeroed y[1:-1], as ``b @ x`` does.
+    Returns the largest interior |x_old - x_new|, taken in place in x[1:-1].
     """
-    new = np.zeros(b.shape[0])
+    new = y[1:-1]
+    new.fill(0.0)
     csr_matvec(b.shape[0], b.shape[1], b.indptr, b.indices, b.data, x, new)
     new += k
-    old = x[1:-1]
-    np.subtract(old, new, out=old)
-    increment = float(np.maximum.reduce(np.abs(old, out=old)))
-    old[...] = new
-    return increment
+    old = np.subtract(x[1:-1], new, out=x[1:-1])
+    return float(np.maximum.reduce(np.abs(old, out=old)))
 
 
 def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
@@ -204,12 +190,14 @@ def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
     """
     u = np.zeros(b.shape[1])
     u[0], u[-1] = p.boundary_left, p.boundary_right
-    w = np.zeros(b.shape[1])
+    u_next, w, w_next = u.copy(), np.zeros(b.shape[1]), np.zeros(b.shape[1])
     dw = rate = bound = np.inf
     for sweeps in range(1, MAX_SWEEPS + 1):
-        du = sweep(b, k, u)
+        du = sweep(b, k, u, u_next)
+        u, u_next = u_next, u
         if bound == np.inf:  # w not frozen yet
-            dw_prev, dw = dw, sweep(b, 1.0, w)
+            dw_prev, dw = dw, sweep(b, 1.0, w, w_next)
+            w, w_next = w_next, w
             if dw >= 1.0 and sweeps > b.shape[0]:  # sweep N
                 break
             if dw <= W:

@@ -98,3 +98,16 @@ def eval_on(f, ts) -> np.ndarray:
         label = getattr(f, "label", getattr(f, "__name__", "f"))
         raise EvaluationError(label, float(ts.ravel()[bad]), float(vals.ravel()[bad]))
     return vals
+
+
+def checked_unit(name: str, fn, ts: np.ndarray, check=clamp_unit, row: int | None = None):
+    """check(fn(ts)); its DomainError names fn, the point and the value, and,
+    given ``row``, the interior row of ts[0], the collocation node."""
+    vals = eval_on(fn, ts)
+    try:
+        return check(vals)
+    except DomainError as exc:
+        j = exc.index
+        node = "" if row is None else f" (collocation node {row + j + 1})"
+        raise DomainError(f"{name}({float(ts[j])!r}) = {float(vals[j])!r} outside [0,1]{node}",
+                          j + (row or 0)) from None

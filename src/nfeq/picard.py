@@ -6,7 +6,7 @@ gives the same floats as the direct scalar recursion.
 
 The grid sweep applies the delay map B of ``collocation.delay_map``, built
 once, through ``collocation.sweep``: one CSR matrix-vector product per
-iteration, u_int <- B u + k, keeping only the last iterate. Its limit is the
+iteration, u_int <- B u + k, in two buffers that swap roles. Its limit is the
 collocation solution of (I - B) u = k by construction, and
 ``collocation.solve_collocation`` runs the same sweep, with a certified
 stopping rule, as its default solver.
@@ -125,15 +125,15 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
         raise ValueError("initial iterate does not match the boundary values")
 
     b, k = delay_map(p, grid)
-    values = f0.values.copy()
-    values[0], values[-1] = p.boundary_left, p.boundary_right
+    values, spare = f0.values.copy(), f0.values.copy()
+    values[[0, -1]] = spare[[0, -1]] = p.boundary_left, p.boundary_right
     increments: list[float] = []
-    converged = False
     for _ in range(max_iter):
-        increments.append(sweep(b, k, values))
+        increments.append(sweep(b, k, values, spare))
+        values, spare = spare, values
         if increments[-1] < tol:
-            converged = True
             break
+    converged = increments[-1] < tol
     if not converged:
         warnings.warn(f"grid fixed-point sweep did not reach tol={tol:g} "
                       f"in {max_iter} iterations (last increment {increments[-1]:.3e})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functions import (BOUNDARY_TOL, CLAMP_TOL, FunctionHandle, clamp_unit, constant,
+from .functions import (BOUNDARY_TOL, CLAMP_TOL, FunctionHandle, checked_unit, constant,
                         eval_on, identity)
 from . import holder
 
@@ -41,9 +41,8 @@ class ProblemSpec:
     def operator(self, f, t):
         """Apply the substitution operator Tf plus the source at points t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        pt = clamp_unit(eval_on(self.phi, ts))
-        x1 = clamp_unit(eval_on(self.phi1, ts))
-        x2 = clamp_unit(eval_on(self.phi2, ts))
+        pt, x1, x2 = (checked_unit(name, fn, ts) for name, fn in
+                      (("phi", self.phi), ("phi1", self.phi1), ("phi2", self.phi2)))
         out = (pt * eval_on(f, x1) + (1.0 - pt) * eval_on(f, x2)
                + eval_on(self.source, ts))
         return float(out[0]) if np.ndim(t) == 0 else out

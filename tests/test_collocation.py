@@ -438,10 +438,29 @@ def test_sweep_kernel_matches_matmul(n):
                          shape=(n - 1, n + 1))
     for k in (rng.uniform(-1.0, 1.0, n - 1), 1.0):
         x = rng.uniform(-1.0, 1.0, n + 1)
-        ref = x.copy()
+        ref, y = x.copy(), x.copy()
+        y[1:-1] = np.nan  # sweep must overwrite, not accumulate into, y
         for _ in range(5):
-            assert collocation.sweep(b, k, x) == matmul_sweep(b, k, ref)
+            assert collocation.sweep(b, k, x, y) == matmul_sweep(b, k, ref)
+            x, y = y, x
             assert np.array_equal(x, ref)
+
+
+def test_sweep_allocates_nothing_of_iterate_size():
+    # a sweep that allocated B x (8 (N - 1) bytes) would reach the bound
+    n = 2 ** 14 + 1
+    b, k = collocation.delay_map(_cusp_problem(), grids.UniformGrid(n))
+    x = np.zeros(n + 1)
+    y = x.copy()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            collocation.sweep(b, k, x, y)
+            x, y = y, x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n - 1), peak
 
 
 @pytest.mark.parametrize("beta", [0.9, 0.999])

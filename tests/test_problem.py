@@ -297,6 +297,21 @@ def test_residual_refuses_phi_outside_unit_interval():
         manufacture(cusp_solution(0.5), constant(1.5), p.phi1, p.phi2, 0.5)
 
 
+@pytest.mark.parametrize("name, fn, message, index", [
+    ("phi", constant(1.5), "phi(0.0) = 1.5 outside [0,1]", 0),
+    ("phi1", constant(1.5), "phi1(0.0) = 1.5 outside [0,1]", 0),
+    ("phi2", FunctionHandle(eval=lambda t: np.where(t >= 0.5, -0.25, 0.25 * t)),
+     "phi2(0.5) = -0.25 outside [0,1]", 50),
+])
+def test_operator_domain_error_names_function_point_and_value(name, fn, message, index):
+    from dataclasses import replace
+    p = replace(problem.paradise_fish(0.05, 0.2), **{name: fn})
+    with pytest.raises(functions.DomainError) as exc:
+        problem.residual(p, identity(), 101)
+    assert str(exc.value) == message
+    assert exc.value.index == index
+
+
 def test_residual_clamps_phi_within_clamp_tol():
     # phi runs from -CLAMP_TOL to 1 + CLAMP_TOL: the same residual, bit for
     # bit, as phi clamped onto [0, 1]

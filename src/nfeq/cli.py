@@ -233,6 +233,7 @@ def _cmd_certify(args) -> int:
     print(f"collocation_threshold={cert.collocation_threshold:.12g}")
     print(f"satisfies_existence={cert.satisfies_existence}")
     print(f"satisfies_collocation={cert.satisfies_collocation}")
+    print(f"rigorous={cert.rigorous}")
     if args.problem == "paradise" and 0.0 < args.alpha <= args.beta <= 1.0:
         rep = problem.check_corollary_conditions(args.alpha, args.beta, args.gamma)
         print(f"corollary_a (alpha^g+beta^g={rep.a_value:.6g} < 0.5): {rep.condition_a}")

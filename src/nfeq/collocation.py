@@ -19,6 +19,8 @@ dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
 SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
 for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
 factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
+``nfeq.linalg`` (SuperLU, via scipy.sparse.linalg) is imported by the first
+fallback in a process, which pays about 10 MiB and 50 ms for it once.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
 one matvec with the B they were solved with.
@@ -32,7 +34,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from . import linalg
 from .functions import checked_unit, eval_on
 from .grids import PiecewiseLinear, UniformGrid, locate
 from .problem import ProblemSpec, validate
@@ -249,6 +250,7 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     else:
         a, rhs = _interior_system(p, b, k)
         t3 = time.perf_counter()
+        from . import linalg  # SuperLU loads scipy.linalg: only a fallback pays
         try:
             lu = linalg.factor(a)
         except linalg.SingularMatrixError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import delay_map, sweep
-from .functions import BOUNDARY_TOL, clamp_unit, eval_on
+from .functions import BOUNDARY_TOL, checked_unit, eval_on
 from .grids import PiecewiseLinear, UniformGrid
 from .problem import ProblemSpec
 
@@ -44,10 +44,10 @@ def _expand(p: ProblemSpec, xs: np.ndarray, levels: int):
     """
     coeffs = []
     for _ in range(levels):
-        coeffs.append((eval_on(p.phi, xs), eval_on(p.source, xs)))
+        coeffs.append((checked_unit("phi", p.phi, xs), eval_on(p.source, xs)))
         kids = np.empty(2 * xs.size)
-        kids[0::2] = clamp_unit(eval_on(p.phi1, xs))
-        kids[1::2] = clamp_unit(eval_on(p.phi2, xs))
+        kids[0::2] = checked_unit("phi1", p.phi1, xs)
+        kids[1::2] = checked_unit("phi2", p.phi2, xs)
         xs = kids
     return coeffs, xs
 
@@ -68,8 +68,8 @@ def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[floa
     same floating-point operations in the same order as the direct recursion
     f_d(x) = phi(x) f_{d-1}(phi1(x)) + (1 - phi(x)) f_{d-1}(phi2(x)) + k(x).
     Below the top depth - BLOCK_LEVELS levels, each subtree is expanded
-    from its own root, so memory stays bounded. Delay values pass through
-    ``functions.clamp_unit`` and every value through ``eval_on``.
+    from its own root, so memory stays bounded. phi and the delays pass
+    ``functions.checked_unit``, the source ``eval_on``.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")

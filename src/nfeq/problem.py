@@ -9,7 +9,7 @@ zero-boundary form with a source term k vanishing at the endpoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,6 +102,9 @@ class ContractionCertificate:
     collocation_threshold: float
     satisfies_existence: bool
     satisfies_collocation: bool
+    #: True when built from exact norms (overrides), False when sampled: how
+    #: the norms were found, so certificates of equal norms compare equal
+    rigorous: bool = field(compare=False)
 
 
 def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
@@ -146,6 +149,7 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
         collocation_threshold=threshold,
         satisfies_existence=fixed_point < 1.0,
         satisfies_collocation=lipschitz < threshold,
+        rigorous=overrides is not None,
     )
 
 

@@ -53,6 +53,21 @@ def test_certify_sampled_norms_warn(tmp_path, capsys):
     assert "satisfies_collocation=True" in out
 
 
+@pytest.mark.parametrize("tabulated", [False, True], ids=["section5", "tabulated"])
+def test_certify_says_whether_it_is_rigorous(tabulated, tmp_path, capsys):
+    # exact family norms make a rigorous certificate, sampled ones do not
+    argv = ["certify"] + (tabulated_problem_args(tmp_path) if tabulated
+                          else ["--problem", "section5"])
+    args = cli._build_parser().parse_args(argv)
+    spec, _, norms = cli._build_problem(args)
+    cert = problem.certify(spec, m=args.samples, overrides=norms)
+    assert cert.rigorous is not tabulated
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert (f"satisfies_collocation={cert.satisfies_collocation}\n"
+            f"rigorous={not tabulated}\n") in out
+
+
 def test_certify_analytic_norms_flag_is_gone(capsys):
     code, out, err = run(["certify", "--problem", "paradise", "--analytic-norms"], capsys)
     assert code == 1

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,6 +554,59 @@ def test_singular_system_surfaces_with_advisory():
     with pytest.raises(collocation.CollocationError) as exc:
         collocation.solve_collocation(singular_problem(), 8)
     assert "certificate" in str(exc.value)
+
+
+COLD_FALLBACK = """
+import sys
+import nfeq, nfeq.cli
+from nfeq import collocation, grids, picard, problem
+from nfeq.functions import constant, identity
+from nfeq.oracles import cusp_solution, manufacture
+
+base = problem.section5(0.02, 0.5)
+cusp = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5).problem
+assert collocation.solve_collocation(cusp, 64).stats.solver == "sweep"
+grid = grids.UniformGrid(64)
+picard.picard_grid(cusp, grid, picard.initial_iterate(cusp, grid))
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+assert not loaded, f"the sweep path loaded {loaded}"
+
+singular = problem.ProblemSpec(phi=constant(1.0), phi1=identity(), phi2=identity(),
+                               source=constant(0.0), boundary_left=0.0,
+                               boundary_right=1.0, gamma=1.0)
+
+
+def superlu():
+    sol = collocation.solve_collocation(problem.paradise_fish(0.05, 0.8), 1024)
+    assert sol.stats.solver == "superlu", sol.stats
+
+
+def singular_raises():
+    try:
+        collocation.solve_collocation(singular, 8)
+    except collocation.CollocationError:
+        return
+    raise AssertionError("the singular system was solved")
+
+
+order = [superlu, singular_raises]
+if sys.argv[1] == "singular":
+    order.reverse()
+for step in order:
+    step()
+"""
+
+
+@pytest.mark.parametrize("first", ["superlu", "singular"])
+def test_sweep_path_stays_lean_and_fallback_works_from_cold(first):
+    # only a fresh interpreter shows a broken deferred import of nfeq.linalg:
+    # this one has loaded it already; each fallback runs first in one child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", COLD_FALLBACK, first], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_singular_system_stops_sweeping_at_n(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from nfeq import collocation, grids, picard, problem
 from nfeq.collocation import solve_collocation
-from nfeq.functions import EvaluationError, FunctionHandle, identity
+from nfeq.functions import EvaluationError, FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution, manufacture, product_formula
 
 from helpers import exact_reference, grid_picard_reference
@@ -94,6 +94,13 @@ def test_exact_delay_domain():
     assert near == ref
     with pytest.raises(grids.DomainError):
         picard.picard_exact_counted(replace(p, phi1=tail(1.0 + 1e-3)), identity(), 6, 0.7)
+
+
+def test_exact_phi_outside_unit_interval_raises():
+    # phi passes the checked clamp as the delays do; it returned (1.4999, 7)
+    p = replace(problem.section5(0.02, 0.5), phi=constant(1.5))
+    with pytest.raises(grids.DomainError, match=r"^phi\(0\.5\) = 1\.5 outside \[0,1\]$"):
+        picard.picard_exact_counted(p, identity(), 2, 0.5)
 
 
 def test_exact_non_finite_value_raises():

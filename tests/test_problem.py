@@ -44,6 +44,12 @@ def test_certify_affine_family_analytic():
     assert not cert.satisfies_existence
 
 
+def test_certificate_rigorous_only_with_exact_norms():
+    p = problem.section5(0.02, gamma=0.5)
+    assert problem.certify(p, overrides=problem.section5_norms(0.02)).rigorous is True
+    assert problem.certify(p).rigorous is False
+
+
 def test_certify_constant_delays():
     cert = problem.certify(constant_delay_problem())
     assert cert.lipschitz_factor == 0.0

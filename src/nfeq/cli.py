@@ -212,8 +212,8 @@ def _cmd_solve(args) -> int:
         series = [(f"collocation N={args.n}", ts, sol.solution.evaluate(ts))]
         if exact is not None:
             series.append((getattr(exact, "label", "exact"), ts, eval_on(exact, ts)))
-        svgplot.write_xy_svg(args.output_svg, series, title="solution",
-                             xlabel="t", ylabel="f(t)")
+        svgplot.write_svg(args.output_svg, series, log=False, title="solution",
+                          xlabel="t", ylabel="f(t)")
         print(f"wrote {args.output_svg}")
     return EXIT_OK
 
@@ -301,10 +301,9 @@ def _cmd_study(args) -> int:
     if args.output_svg:
         hs = [r.h for r in report.ladder]
         es = [r.sup_error for r in report.ladder]
-        svgplot.write_loglog_svg(args.output_svg,
-                                 [(report.problem_label, hs, es)],
-                                 title="convergence study",
-                                 reference_slope=report.theory_order)
+        svgplot.write_svg(args.output_svg, [(report.problem_label, hs, es)],
+                          log=True, title="convergence study", xlabel="h",
+                          ylabel="error", reference_slope=report.theory_order)
         print(f"wrote {args.output_svg}")
     if report.failure:
         _err(report.failure)

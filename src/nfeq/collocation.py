@@ -19,8 +19,8 @@ dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
 SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
 for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
 factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
-``nfeq.linalg`` (SuperLU, via scipy.sparse.linalg) is imported by the first
-fallback in a process, which pays about 10 MiB and 50 ms for it once.
+``nfeq.linalg`` (SuperLU) is imported by the first fallback in a process,
+which pays about 10 MiB and 50 ms for it once, outside both stats timers.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
 one matvec with the B they were solved with.
@@ -248,9 +248,10 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
         nonzeros, solver = b.nnz, "sweep"
         assembly_time, solve_time = t1 - t0, t2 - t1
     else:
-        a, rhs = _interior_system(p, b, k)
+        from . import linalg  # loads scipy.linalg: only a fallback pays, untimed
         t3 = time.perf_counter()
-        from . import linalg  # SuperLU loads scipy.linalg: only a fallback pays
+        a, rhs = _interior_system(p, b, k)
+        t4 = time.perf_counter()
         try:
             lu = linalg.factor(a)
         except linalg.SingularMatrixError as exc:
@@ -258,14 +259,14 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
                 f"singular collocation system ({exc}); check the contraction "
                 "certificate of the problem") from exc
         x = lu.solve(rhs)
-        t4 = time.perf_counter()
+        t5 = time.perf_counter()
         values = np.concatenate(([p.boundary_left], x, [p.boundary_right]))
         # B >= 0 with unit row sums makes a nonsingular A an M-matrix, so
         # A^-1 >= 0 and ||A^-1||_inf is its largest row sum, exactly
         bound = float(lu.solve(np.ones(n - 1)).max())
         nonzeros, solver = a.nnz, "superlu"
         # the sweeps tried count as solve time
-        assembly_time, solve_time = (t1 - t0) + (t3 - t2), (t2 - t1) + (t4 - t3)
+        assembly_time, solve_time = (t1 - t0) + (t4 - t3), (t2 - t1) + (t5 - t4)
     condition = _interior_norm(b) * bound
     solution = PiecewiseLinear(grid=grid, values=values)
 

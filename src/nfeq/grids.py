@@ -21,6 +21,8 @@ MAX_ERROR_SAMPLES = 4097
 NODE_BOUND_REL = 1e-6
 #: node_pair_bounds: evaluation rounding allowance, in ulps of max|v| / dmin^gamma
 NODE_BOUND_ULPS = 64
+#: random_cusp_trials: most cusp bumps in one trial
+MAX_CUSP_BUMPS = 3
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,7 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
     return best
 
 
-def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float,
-                       max_bumps: int = 3) -> list:
+def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float) -> list:
     """Random sums of cusp bumps a*(r - |t-c|)_+^gamma plus an oscillation.
 
     Rough test functions for empirical projector-norm studies; the
@@ -241,7 +242,7 @@ def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float,
 
     trials = []
     for k in range(count):
-        nb = int(rng.integers(1, max_bumps + 1))
+        nb = int(rng.integers(1, MAX_CUSP_BUMPS + 1))
         amps = rng.uniform(-2.0, 2.0, size=nb)
         centers = rng.uniform(0.0, 1.0, size=nb)
         radii = rng.uniform(0.05, 0.5, size=nb)
@@ -261,13 +262,18 @@ def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float,
     return trials
 
 
-def write_csv(u: PiecewiseLinear, path) -> None:
-    """Serialize nodal data as (t, value) rows with 17 significant digits."""
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: floats with 17 significant digits, the rest as is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(u.grid.nodes, u.values):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_csv(u: PiecewiseLinear, path) -> None:
+    """Serialize nodal data as (t, value) rows with 17 significant digits."""
+    write_table(path, ["t", "value"], zip(u.grid.nodes, u.values))
 
 
 def read_csv(path) -> PiecewiseLinear:

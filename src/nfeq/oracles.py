@@ -37,8 +37,8 @@ def product_formula(beta: float, t, tol: float = PRODUCT_TOL):
     return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
-def product_solution(beta: float, tol: float = PRODUCT_TOL) -> FunctionHandle:
-    return FunctionHandle(eval=lambda t: product_formula(beta, t, tol),
+def product_solution(beta: float) -> FunctionHandle:
+    return FunctionHandle(eval=lambda t: product_formula(beta, t),
                           label=f"product(beta={beta:g})")
 
 

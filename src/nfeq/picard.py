@@ -13,7 +13,6 @@ stopping rule, as its default solver.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from .collocation import delay_map, sweep
 from .functions import BOUNDARY_TOL, checked_unit, eval_on
-from .grids import PiecewiseLinear, UniformGrid
+from .grids import PiecewiseLinear, UniformGrid, write_table
 from .problem import ProblemSpec
 
 #: recursion cap: the exact evaluator costs 2^(depth+1)-1 node visits
@@ -114,7 +113,7 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
     iterate and every increment. On non-convergence the partial trace is
     returned with ``converged = False`` and a warning.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -147,9 +146,6 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
 
 def write_trace_csv(trace: PicardTrace, path) -> None:
     """Serialize increments and ratios as (iteration, increment, ratio) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "increment", "ratio"])
-        for i, inc in enumerate(trace.increments, start=1):
-            ratio = trace.contraction_ratios[i - 2] if i >= 2 else math.nan
-            writer.writerow([i, f"{inc:.17g}", f"{ratio:.17g}"])
+    write_table(path, ["iteration", "increment", "ratio"],
+                zip(range(1, len(trace.increments) + 1), trace.increments,
+                    [math.nan] + list(trace.contraction_ratios)))

@@ -1,7 +1,6 @@
 """Mesh-refinement studies and empirical convergence orders."""
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -11,6 +10,7 @@ import numpy as np
 
 from .collocation import CollocationError, solve_collocation
 from .functions import FunctionHandle, eval_on
+from .grids import write_table
 from .oracles import ManufacturedProblem
 from .problem import ProblemSpec
 
@@ -129,12 +129,8 @@ def run_study(problem, exact: FunctionHandle | None = None,
 
 
 def write_report_csv(report: ConvergenceReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "h", "error", "runtime"])
-        for r in report.ladder:
-            writer.writerow([r.n, f"{r.h:.17g}", f"{r.sup_error:.17g}",
-                             f"{r.runtime:.17g}"])
+    write_table(path, ["N", "h", "error", "runtime"],
+                ((r.n, r.h, r.sup_error, r.runtime) for r in report.ladder))
 
 
 def summary_line(report: ConvergenceReport) -> str:

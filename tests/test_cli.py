@@ -181,6 +181,13 @@ def test_picard_nonpositive_max_iter(capsys, max_iter):
     assert err.count("\n") == 1 and "max_iter must be at least 1" in err
 
 
+def test_picard_nan_tolerance(capsys):
+    code, _, err = run(["picard", "--problem", "paradise", "--n", "4",
+                        "--tol", "nan", "--max-iter", "3"], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "tol must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # study
 # ---------------------------------------------------------------------------

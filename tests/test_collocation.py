@@ -609,6 +609,36 @@ def test_sweep_path_stays_lean_and_fallback_works_from_cold(first):
     assert proc.returncode == 0, proc.stderr
 
 
+SLOW_LINALG_IMPORT = """
+import sys, time
+from nfeq import collocation, problem
+
+
+class SlowLinalg:
+    def find_spec(self, name, path=None, target=None):
+        if name == "nfeq.linalg":
+            time.sleep(0.5)
+        return None
+
+
+sys.meta_path.insert(0, SlowLinalg())
+stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.8), 1024).stats
+assert stats.solver == "superlu", stats
+assert stats.assembly_time + stats.solve_time < 0.25, stats
+"""
+
+
+def test_fallback_import_is_not_timed():
+    # a 0.5 s import of nfeq.linalg in a fresh interpreter must show in
+    # neither stats timer
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", SLOW_LINALG_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_singular_system_stops_sweeping_at_n(monkeypatch):
     # dw stays 1 on phi = 1: the sweep gives up at sweep N = 8, where it
     # ran all MAX_SWEEPS before

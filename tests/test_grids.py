@@ -360,6 +360,14 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.values, u.values)
 
 
+def test_write_csv_bytes(tmp_path):
+    # pins the CSV number format: floats to 17 significant digits, csv's \r\n
+    u = grids.PiecewiseLinear(grid=grids.UniformGrid(2), values=np.array([0.0, 1 / 3, 1.0]))
+    path = tmp_path / "u.csv"
+    grids.write_csv(u, path)
+    assert path.read_bytes() == b"t,value\r\n0,0\r\n0.5,0.33333333333333331\r\n1,1\r\n"
+
+
 def test_csv_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,0\n1,1\n")

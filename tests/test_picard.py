@@ -178,6 +178,14 @@ def test_grid_picard_input_validation():
             picard.picard_grid(p, g, picard.initial_iterate(p, g), max_iter=max_iter)
 
 
+def test_grid_picard_nan_tolerance():
+    # NaN fails every comparison: only "not tol > 0" refuses it
+    p = problem.paradise_fish(0.0, 0.2, 1.0)
+    g = grids.UniformGrid(8)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        picard.picard_grid(p, g, picard.initial_iterate(p, g), tol=float("nan"))
+
+
 def test_grid_picard_nonconvergence_warns():
     p = problem.paradise_fish(0.05, 0.2, 1.0)
     g = grids.UniformGrid(16)
@@ -263,3 +271,14 @@ def test_trace_csv(tmp_path):
     assert rows[0] == ["iteration", "increment", "ratio"]
     assert len(rows) == len(trace.increments) + 1
     assert float(rows[1][1]) == trace.increments[0]
+
+
+def test_trace_csv_bytes(tmp_path):
+    u = picard.initial_iterate(problem.paradise_fish(0.0, 0.2, 1.0), grids.UniformGrid(2))
+    trace = picard.PicardTrace(final=u, increments=[0.5, 0.25, 0.1],
+                               contraction_ratios=[0.5, 0.4], converged=True)
+    path = tmp_path / "trace.csv"
+    picard.write_trace_csv(trace, path)
+    assert path.read_bytes() == (b"iteration,increment,ratio\r\n1,0.5,nan\r\n"
+                                 b"2,0.25,0.5\r\n"
+                                 b"3,0.10000000000000001,0.40000000000000002\r\n")

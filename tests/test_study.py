@@ -109,6 +109,19 @@ def test_report_csv(tmp_path):
     assert float(rows[1][2]) == report.ladder[0].sup_error
 
 
+def test_report_csv_bytes(tmp_path):
+    rungs = [study.LadderRung(16, 0.0625, 0.1, 0.002),
+             study.LadderRung(32, 0.03125, 0.07, 0.25)]
+    report = study.ConvergenceReport(problem_label="x", gamma=0.5, ladder=rungs,
+                                     fitted_order=0.5, fit_residual=0.0,
+                                     theory_order=0.5)
+    path = tmp_path / "report.csv"
+    study.write_report_csv(report, path)
+    assert path.read_bytes() == (b"N,h,error,runtime\r\n"
+                                 b"16,0.0625,0.10000000000000001,0.002\r\n"
+                                 b"32,0.03125,0.070000000000000007,0.25\r\n")
+
+
 def test_summary_line_mentions_partial_failure():
     bad = problem.ProblemSpec(phi=constant(1.0), phi1=identity(), phi2=identity(),
                               source=constant(0.0), boundary_left=0.0,

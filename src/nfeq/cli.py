@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -224,16 +225,9 @@ def _cmd_certify(args) -> int:
         print("warning: certification uses sampled norms (lower bounds)",
               file=sys.stderr)
     cert = problem.certify(spec, m=args.samples, overrides=norms)
-    print(f"norm_phi_gamma={cert.norm_phi_gamma:.12g}")
-    print(f"norm_phi1_lip={cert.norm_phi1_lip:.12g}")
-    print(f"norm_phi2_lip={cert.norm_phi2_lip:.12g}")
-    print(f"phi1_at_zero={cert.phi1_at_zero:.12g}")
-    print(f"lipschitz_factor={cert.lipschitz_factor:.12g}")
-    print(f"fixed_point_factor={cert.fixed_point_factor:.12g}")
-    print(f"collocation_threshold={cert.collocation_threshold:.12g}")
-    print(f"satisfies_existence={cert.satisfies_existence}")
-    print(f"satisfies_collocation={cert.satisfies_collocation}")
-    print(f"rigorous={cert.rigorous}")
+    for field in dataclasses.fields(cert):
+        value = getattr(cert, field.name)
+        print(f"{field.name}={value}" if isinstance(value, bool) else f"{field.name}={value:.12g}")
     if args.problem == "paradise" and 0.0 < args.alpha <= args.beta <= 1.0:
         rep = problem.check_corollary_conditions(args.alpha, args.beta, args.gamma)
         print(f"corollary_a (alpha^g+beta^g={rep.a_value:.6g} < 0.5): {rep.condition_a}")

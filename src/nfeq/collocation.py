@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from .functions import checked_unit, eval_on
+from .functions import eval_on
 from .grids import PiecewiseLinear, UniformGrid, locate
 from .problem import ProblemSpec, validate
 
@@ -94,11 +94,11 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     from its own node alone, by the same operations as a whole-array build,
     so the blocking changes no bit of B or k.
 
-    phi and the delays pass ``checked_unit``, so every B returned is >= 0
-    with unit row sums. A value beyond CLAMP_TOL of [0, 1] raises
-    DomainError naming the function, the point, the value and the node: the
-    first met block by block (phi, phi1, phi2, then the source), not always
-    the one a whole-array build would raise first.
+    phi and the delays come checked from ``ProblemSpec.coefficients``, so
+    every B returned is >= 0 with unit row sums. A value beyond CLAMP_TOL of
+    [0, 1] raises DomainError naming the function, the point, the value and
+    the node: the first met block by block (phi, phi1, phi2, then the
+    source), not always the one a whole-array build would raise first.
     """
     n = grid.n
     if n < 2:
@@ -112,10 +112,9 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     for lo in range(0, n - 1, DELAY_BLOCK_ROWS):
         rows = slice(lo, lo + DELAY_BLOCK_ROWS)
         ts = interior[rows]
-        phi_vals = checked_unit("phi", p.phi, ts, row=lo)
-        for col, coeff, name, delay in ((0, phi_vals, "phi1", p.phi1),
-                                        (2, 1.0 - phi_vals, "phi2", p.phi2)):
-            i, w = checked_unit(name, delay, ts, lambda x: locate(grid, x), lo)
+        phi_vals, x1, x2 = p.coefficients(ts, lo)
+        for col, coeff, x in ((0, phi_vals, x1), (2, 1.0 - phi_vals, x2)):
+            i, w = locate(grid, x)
             np.multiply(coeff, w, out=data[rows, col + 1])
             np.multiply(coeff, np.subtract(1.0, w, out=w), out=data[rows, col])
             indices[rows, col] = i

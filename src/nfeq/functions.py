@@ -1,6 +1,7 @@
 """Evaluatable real-valued functions on [0, 1], and the one domain policy:
-every value that must lie in [0, 1] passes ``clamp_unit``, and endpoint
-conditions hold to BOUNDARY_TOL."""
+every value that must lie in [0, 1] passes ``clamp_unit``, the coefficients
+phi, phi1 and phi2 through ``checked_unit`` (one error on every path), and
+endpoint conditions hold to BOUNDARY_TOL."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,6 +73,20 @@ def identity(label: str = "t") -> FunctionHandle:
                           label=label)
 
 
+def _values(f, ts) -> np.ndarray:
+    """f at the points ts, by one vector call or else a scalar loop."""
+    fn = f.eval if isinstance(f, FunctionHandle) else f
+    try:
+        vals = np.asarray(fn(ts), dtype=float)
+        if vals.shape == ts.shape:
+            return vals
+    except (DomainError, EvaluationError):
+        raise
+    except (TypeError, ValueError, IndexError):
+        pass
+    return np.array([float(fn(float(t))) for t in ts.ravel()]).reshape(ts.shape)
+
+
 def eval_on(f, ts) -> np.ndarray:
     """Evaluate ``f`` on an array of points, falling back to a scalar loop.
 
@@ -81,18 +96,7 @@ def eval_on(f, ts) -> np.ndarray:
     is non-finite.
     """
     ts = np.asarray(ts, dtype=float)
-    fn = f.eval if isinstance(f, FunctionHandle) else f
-    vals = None
-    try:
-        cand = np.asarray(fn(ts), dtype=float)
-        if cand.shape == ts.shape:
-            vals = cand
-    except (DomainError, EvaluationError):
-        raise
-    except (TypeError, ValueError, IndexError):
-        vals = None
-    if vals is None:
-        vals = np.array([float(fn(float(t))) for t in ts.ravel()]).reshape(ts.shape)
+    vals = _values(f, ts)
     if not np.all(np.isfinite(vals)):
         bad = np.flatnonzero(~np.isfinite(vals.ravel()))[0]
         label = getattr(f, "label", getattr(f, "__name__", "f"))
@@ -100,12 +104,13 @@ def eval_on(f, ts) -> np.ndarray:
     return vals
 
 
-def checked_unit(name: str, fn, ts: np.ndarray, check=clamp_unit, row: int | None = None):
-    """check(fn(ts)); its DomainError names fn, the point and the value, and,
-    given ``row``, the interior row of ts[0], the collocation node."""
-    vals = eval_on(fn, ts)
+def checked_unit(name: str, fn, ts: np.ndarray, row: int | None = None) -> np.ndarray:
+    """clamp_unit(fn(ts)) for 1-d points ts. Its DomainError, raised for a
+    value outside [0, 1] or non-finite, names fn, the point and the value,
+    and, given ``row``, the interior row of ts[0], the collocation node."""
+    vals = _values(fn, ts)
     try:
-        return check(vals)
+        return clamp_unit(vals)
     except DomainError as exc:
         j = exc.index
         node = "" if row is None else f" (collocation node {row + j + 1})"

@@ -1,7 +1,7 @@
 """Uniform grids, the piecewise-linear interpolation projector and its bounds.
 
-``locate`` checks every point with ``functions.clamp_unit``: the delays of
-``collocation.delay_map`` pass it, part of that map's invariant B >= 0.
+``locate`` checks every point with ``functions.clamp_unit``; the delays
+``collocation.delay_map`` places come checked by ``ProblemSpec.coefficients``.
 """
 from __future__ import annotations
 

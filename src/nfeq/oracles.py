@@ -76,9 +76,9 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
     """Choose the source so ``target`` becomes the exact zero-boundary solution.
 
     k(t) = target(t) - phi(t) target(phi1(t)) - (1-phi(t)) target(phi2(t)),
-    a composite closure so collocation can sample it at arbitrary nodes. The
-    delays pass through ``functions.clamp_unit``: rounding overshoot is clamped,
-    a larger one raises DomainError.
+    a composite closure so collocation can sample it at arbitrary nodes. It
+    reads the coefficients through ``ProblemSpec.coefficients``, so a value
+    outside [0, 1] raises the DomainError every path raises.
     """
     t0 = float(np.asarray(target(0.0), dtype=float))
     t1 = float(np.asarray(target(1.0), dtype=float))
@@ -86,17 +86,12 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
         raise ValueError(
             f"target must vanish at both endpoints, got {t0!r} and {t1!r}")
 
-    def clamped(delay, t):
-        x = np.asarray(delay(t), dtype=float)
-        return clamp_unit(x).reshape(x.shape)
-
     def k(t):
-        t = np.asarray(t, dtype=float)
-        pt = np.asarray(phi(t), dtype=float)
-        x1, x2 = clamped(phi1, t), clamped(phi2, t)
-        return (np.asarray(target(t), dtype=float)
+        ts = np.asarray(t, dtype=float).ravel()
+        pt, x1, x2 = prob.coefficients(ts)
+        return (np.asarray(target(ts), dtype=float)
                 - pt * np.asarray(target(x1), dtype=float)
-                - (1.0 - pt) * np.asarray(target(x2), dtype=float))
+                - (1.0 - pt) * np.asarray(target(x2), dtype=float)).reshape(np.shape(t))[()]
 
     source = FunctionHandle(eval=k, label=f"manufactured({target.label})")
     prob = ProblemSpec(phi=phi, phi1=phi1, phi2=phi2, source=source,

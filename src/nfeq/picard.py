@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import delay_map, sweep
-from .functions import BOUNDARY_TOL, checked_unit, eval_on
+from .functions import BOUNDARY_TOL, eval_on
 from .grids import PiecewiseLinear, UniformGrid, write_table
 from .problem import ProblemSpec
 
@@ -43,10 +43,10 @@ def _expand(p: ProblemSpec, xs: np.ndarray, levels: int):
     """
     coeffs = []
     for _ in range(levels):
-        coeffs.append((checked_unit("phi", p.phi, xs), eval_on(p.source, xs)))
+        phi, x1, x2 = p.coefficients(xs)
+        coeffs.append((phi, eval_on(p.source, xs)))
         kids = np.empty(2 * xs.size)
-        kids[0::2] = checked_unit("phi1", p.phi1, xs)
-        kids[1::2] = checked_unit("phi2", p.phi2, xs)
+        kids[0::2], kids[1::2] = x1, x2
         xs = kids
     return coeffs, xs
 
@@ -67,8 +67,8 @@ def picard_exact_counted(p: ProblemSpec, f0, depth: int, t: float) -> tuple[floa
     same floating-point operations in the same order as the direct recursion
     f_d(x) = phi(x) f_{d-1}(phi1(x)) + (1 - phi(x)) f_{d-1}(phi2(x)) + k(x).
     Below the top depth - BLOCK_LEVELS levels, each subtree is expanded
-    from its own root, so memory stays bounded. phi and the delays pass
-    ``functions.checked_unit``, the source ``eval_on``.
+    from its own root, so memory stays bounded. phi and the delays are read
+    through ``ProblemSpec.coefficients``, the source through ``eval_on``.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -113,8 +113,8 @@ def picard_grid(p: ProblemSpec, grid: UniformGrid, f0: PiecewiseLinear,
     iterate and every increment. On non-convergence the partial trace is
     returned with ``converged = False`` and a warning.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if f0.grid.n != grid.n:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .functions import (BOUNDARY_TOL, CLAMP_TOL, FunctionHandle, checked_unit, constant,
+from .functions import (BOUNDARY_TOL, DomainError, FunctionHandle, checked_unit, constant,
                         eval_on, identity)
 from . import holder
 
@@ -38,11 +38,18 @@ class ProblemSpec:
     def is_original_form(self) -> bool:
         return self.boundary_left == 0.0 and self.boundary_right == 1.0
 
+    def coefficients(self, ts: np.ndarray, row: int | None = None):
+        """phi, phi1 and phi2 at the 1-d points ts, each through
+        ``functions.checked_unit``: the one reader of the three for the
+        equation, so every path clamps them and refuses them with one error.
+        ``row`` names ts[0]'s collocation node in that error."""
+        return tuple(checked_unit(name, fn, ts, row) for name, fn in
+                     (("phi", self.phi), ("phi1", self.phi1), ("phi2", self.phi2)))
+
     def operator(self, f, t):
         """Apply the substitution operator Tf plus the source at points t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        pt, x1, x2 = (checked_unit(name, fn, ts) for name, fn in
-                      (("phi", self.phi), ("phi1", self.phi1), ("phi2", self.phi2)))
+        pt, x1, x2 = self.coefficients(ts)
         out = (pt * eval_on(f, x1) + (1.0 - pt) * eval_on(f, x2)
                + eval_on(self.source, ts))
         return float(out[0]) if np.ndim(t) == 0 else out
@@ -54,29 +61,31 @@ def validate(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES) -> None:
     if not 0.0 < p.gamma <= 1.0:
         violations.append(f"gamma={p.gamma} outside (0, 1]")
     ts = holder.uniform_samples(m)
-    for name, fn in (("phi1", p.phi1), ("phi2", p.phi2)):
-        vals = eval_on(fn, ts)
-        if vals.min() < -CLAMP_TOL or vals.max() > 1.0 + CLAMP_TOL:
-            violations.append(
-                f"{name} leaves [0,1]: sampled range [{vals.min():.6g}, {vals.max():.6g}]")
+    in_range = True
+    for name, fn in (("phi", p.phi), ("phi1", p.phi1), ("phi2", p.phi2)):
+        try:
+            checked_unit(name, fn, ts)
+        except DomainError as exc:
+            violations.append(str(exc))
+            in_range = False
     p1_end = float(eval_on(p.phi1, np.array([1.0]))[0])
     p2_start = float(eval_on(p.phi2, np.array([0.0]))[0])
     if abs(p1_end - 1.0) > BOUNDARY_TOL:
         violations.append(f"phi1(1)={p1_end!r} != 1")
     if abs(p2_start) > BOUNDARY_TOL:
         violations.append(f"phi2(0)={p2_start!r} != 0")
-    kv = eval_on(p.source, ts)
-    if (p.boundary_left, p.boundary_right) == (0.0, 1.0):
-        if np.abs(kv).max() > BOUNDARY_TOL:
-            violations.append("original form requires source identically 0")
-    elif (p.boundary_left, p.boundary_right) == (0.0, 0.0):
-        if abs(kv[0]) > BOUNDARY_TOL or abs(kv[-1]) > BOUNDARY_TOL:
-            violations.append(
-                f"zero-boundary form requires k(0)=k(1)=0, got {kv[0]!r}, {kv[-1]!r}")
-    else:
+    form = (p.boundary_left, p.boundary_right)
+    if form not in ((0.0, 1.0), (0.0, 0.0)):
         violations.append(
             f"boundary values must be (0,1) or (0,0), got "
             f"({p.boundary_left}, {p.boundary_right})")
+    elif in_range:  # a source may read the coefficients and raise their error again
+        kv = eval_on(p.source, ts)
+        if form == (0.0, 1.0) and np.abs(kv).max() > BOUNDARY_TOL:
+            violations.append("original form requires source identically 0")
+        elif form == (0.0, 0.0) and (abs(kv[0]) > BOUNDARY_TOL or abs(kv[-1]) > BOUNDARY_TOL):
+            violations.append(
+                f"zero-boundary form requires k(0)=k(1)=0, got {kv[0]!r}, {kv[-1]!r}")
     if violations:
         raise ProblemValidationError(violations)
 
@@ -190,17 +199,11 @@ class FormError(ValueError):
 
 
 def to_homogeneous(p: ProblemSpec) -> ProblemSpec:
-    """Shift f -> f - t: zero boundary values and source k = T(identity) - identity."""
+    """Shift f -> f - t: zero boundary values and source k(t) = p.operator(id, t) - t."""
     if not p.is_original_form:
         raise FormError("problem already has zero boundary values")
-
-    def k(t, phi=p.phi, phi1=p.phi1, phi2=p.phi2):
-        t = np.asarray(t, dtype=float)
-        pt = np.asarray(phi(t), dtype=float)
-        return pt * np.asarray(phi1(t), dtype=float) \
-            + (1.0 - pt) * np.asarray(phi2(t), dtype=float) - t
-
-    source = FunctionHandle(eval=k, label="T(id)-id")
+    ident = identity()
+    source = FunctionHandle(eval=lambda t: p.operator(ident, t) - t, label="T(id)-id")
     return replace(p, source=source, boundary_left=0.0, boundary_right=0.0)
 
 

@@ -24,6 +24,15 @@ def test_certify_paradise_analytic(capsys):
     assert "warning" not in err
 
 
+def test_certify_prints_every_field_in_order(capsys):
+    code, out, _ = run(["certify", "--problem", "section5"], capsys)
+    assert code == 0
+    assert out == ("norm_phi_gamma=1\nnorm_phi1_lip=1\nnorm_phi2_lip=0.01\n"
+                   "phi1_at_zero=0.99\nlipschitz_factor=0.4\nfixed_point_factor=1.3\n"
+                   "collocation_threshold=0.414213562373\nsatisfies_existence=False\n"
+                   "satisfies_collocation=True\nrigorous=True\n")
+
+
 def tabulated_problem_args(tmp_path):
     """--problem custom flags for phi = t, phi1 = 1, phi2 = 0.2 t tabulated at N = 64."""
     g = grids.UniformGrid(64)
@@ -188,6 +197,14 @@ def test_picard_nan_tolerance(capsys):
     assert err.count("\n") == 1 and "tol must be positive" in err
 
 
+def test_picard_infinite_tolerance(capsys):
+    code, out, err = run(["picard", "--problem", "paradise", "--n", "4", "--tol", "inf"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "nfeq: tol must be positive and finite, got inf\n"
+
+
 # ---------------------------------------------------------------------------
 # study
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ def test_custom_problem_from_csv(tmp_path, capsys):
 
 
 def test_custom_problem_phi_outside_unit_interval(tmp_path, capsys):
-    # a tabulated phi = 1.5 is refused at the first node, before any solver
+    # a tabulated phi = 1.5 is refused by validation, before any solver
     g = grids.UniformGrid(8)
     handles = {
         "phi": FunctionHandle(eval=lambda t: np.full_like(np.asarray(t, float), 1.5)),
@@ -302,7 +319,7 @@ def test_custom_problem_phi_outside_unit_interval(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert "phi(" in err and "= 1.5 outside [0,1] (collocation node 1)" in err
+    assert err == "nfeq: invalid problem: phi(0.0) = 1.5 outside [0,1]\n"
 
 
 def test_custom_problem_missing_tables(capsys):

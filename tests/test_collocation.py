@@ -521,8 +521,11 @@ def test_phi_outside_unit_interval_raises(phi, node):
     # no phi outside [0, 1] at a node reaches a solver: B >= 0 by construction
     p = replace(problem.paradise_fish(0.05, 0.2, 1.0), phi=phi)
     g = grids.UniformGrid(64)
+    # solve_collocation validates first: the same message, at a sample point
+    with pytest.raises(problem.ProblemValidationError,
+                       match=r"^invalid problem: phi\(.*\) = .* outside \[0,1\]$"):
+        collocation.solve_collocation(p, 64)
     for run in (lambda: collocation.delay_map(p, g),
-                lambda: collocation.solve_collocation(p, 64),
                 lambda: picard.picard_grid(p, g, picard.initial_iterate(p, g))):
         with pytest.raises(grids.DomainError,
                            match=rf"^phi\(.*\) = .* outside \[0,1\] "

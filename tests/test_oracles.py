@@ -158,7 +158,7 @@ def test_manufacture_delay_overshoot_raises():
     manu = oracles.manufacture(oracles.smooth_parabola(), p.phi, p.phi1,
                                _dipping_delay(1e-3), 1.0)
     k = manu.problem.source
-    with pytest.raises(DomainError, match=r"t=-0\.00(1|09)\d* outside") as exc:
+    with pytest.raises(DomainError, match=r"^phi2\(0\.005\) = -0\.00(1|09)\d* outside \[0,1\]$") as exc:
         k(np.array([0.0, 0.005, 0.5]))
     assert exc.value.index == 1
     with pytest.raises(DomainError):

@@ -186,6 +186,14 @@ def test_grid_picard_nan_tolerance():
         picard.picard_grid(p, g, picard.initial_iterate(p, g), tol=float("nan"))
 
 
+def test_grid_picard_infinite_tolerance():
+    # every increment is below inf: it would report convergence after one sweep
+    p = problem.paradise_fish(0.0, 0.2, 1.0)
+    g = grids.UniformGrid(8)
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        picard.picard_grid(p, g, picard.initial_iterate(p, g), tol=float("inf"))
+
+
 def test_grid_picard_nonconvergence_warns():
     p = problem.paradise_fish(0.05, 0.2, 1.0)
     g = grids.UniformGrid(16)

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from nfeq import functions, grids, holder, problem
+from nfeq import collocation, functions, grids, holder, picard, problem
 from nfeq.collocation import solve_collocation
 from nfeq.functions import FunctionHandle, constant, identity
-from nfeq.oracles import cusp_solution, manufacture, product_solution
+from nfeq.oracles import cusp_solution, manufacture, product_solution, smooth_parabola
 
 
 def constant_delay_problem():
@@ -351,10 +352,84 @@ def test_validate_range_is_the_clamp_tolerance():
             problem.validate(p)
             assert functions.clamp_unit(p.phi1(ts)).max() == 1.0
         else:
-            with pytest.raises(problem.ProblemValidationError, match="phi1 leaves"):
+            with pytest.raises(problem.ProblemValidationError,
+                               match=r"phi1\(0\.5\) = .* outside \[0,1\]"):
                 problem.validate(p)
             with pytest.raises(functions.DomainError):
                 functions.clamp_unit(p.phi1(ts))
+
+
+def _dip(t):
+    """0.2 t minus a hat of height 0.002 on (0.001, 0.009): below 0 only
+    there, between the samples j/100 that ``manufacture`` checks."""
+    t = np.asarray(t, dtype=float)
+    return 0.2 * t - 0.002 * np.clip(1.0 - np.abs(t - 0.005) / 0.004, 0.0, None)
+
+
+#: points 1/512 apart: two of them, and node 1 of N = 256, fall in the dip
+_TS = holder.uniform_samples(513)
+_N = 256
+_BAD_COEFFICIENTS = {
+    "phi=1.5": ("phi", constant(1.5)),
+    "phi1=1+t/2": ("phi1", FunctionHandle(eval=lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float))),
+    "phi2 dips": ("phi2", FunctionHandle(eval=_dip)),
+    "phi=nan": ("phi", constant(math.nan)),
+}
+
+
+def _picard_grid(p):
+    g = grids.UniformGrid(_N)
+    return picard.picard_grid(p, g, picard.initial_iterate(p, g))
+
+
+#: path -> (run on the bad problem, refused by validation, names the node)
+_PATHS = {
+    "validate": (problem.validate, True, False),
+    "operator": (lambda p: p.operator(identity(), _TS), False, False),
+    "residual": (lambda p: problem.residual(p, identity(), _TS.size), False, False),
+    "homogeneous source": (lambda p: problem.to_homogeneous(p).source(_TS), False, False),
+    "manufactured source": (lambda p: manufacture(
+        smooth_parabola(), p.phi, p.phi1, p.phi2, 1.0).problem.source(_TS), False, False),
+    "delay_map": (lambda p: collocation.delay_map(p, grids.UniformGrid(_N)), False, True),
+    "picard_exact_counted": (
+        lambda p: picard.picard_exact_counted(p, identity(), 2, 0.005), False, False),
+    "solve_collocation": (lambda p: solve_collocation(p, _N), True, False),
+    "picard_grid": (_picard_grid, False, True),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+@pytest.mark.parametrize("bad", list(_BAD_COEFFICIENTS))
+def test_every_path_refuses_a_bad_coefficient_alike(bad, path):
+    from dataclasses import replace
+    name, fn = _BAD_COEFFICIENTS[bad]
+    run, validated, at_node = _PATHS[path]
+    p = replace(problem.paradise_fish(0.05, 0.2), **{name: fn})
+    error = problem.ProblemValidationError if validated else functions.DomainError
+    with pytest.raises(error) as exc:
+        run(p)
+    text = str(exc.value)
+    assert text.count("\n") == 0
+    # validation lists every violation; the range one comes first
+    message = exc.value.violations[0] if validated else text
+    node = r" \(collocation node (?P<node>\d+)\)" if at_node else ""
+    m = re.fullmatch(rf"{name}\((?P<t>[^)]+)\) = (?P<v>\S+) outside \[0,1\]{node}", message)
+    assert m, message
+    t, v = float(m["t"]), float(m["v"])
+    assert v == float(fn(t)) or math.isnan(v) and math.isnan(float(fn(t)))
+    assert not 0.0 <= v <= 1.0
+    if at_node:
+        assert t == int(m["node"]) / _N
+
+
+def test_validate_reports_a_delay_its_source_refuses():
+    # the manufactured source reads phi2 too: validation reports phi2's
+    # violation instead of letting the source's error escape
+    p = problem.paradise_fish(0.05, 0.2, 1.0)
+    manu = manufacture(smooth_parabola(), p.phi, p.phi1, FunctionHandle(eval=_dip), 1.0)
+    with pytest.raises(problem.ProblemValidationError) as exc:
+        problem.validate(manu.problem)
+    assert exc.value.violations == [f"phi2(0.001953125) = {float(_dip(0.001953125))!r} outside [0,1]"]
 
 
 def test_operator_matches_definition():

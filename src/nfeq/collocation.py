@@ -19,8 +19,11 @@ dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
 SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
 for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
 factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
-``nfeq.linalg`` (SuperLU) is imported by the first fallback in a process,
-which pays about 10 MiB and 50 ms for it once, outside both stats timers.
+Importing this module loads no scipy. ``load_sparse`` imports scipy.sparse
+and its CSR kernel for the first delay map built in a process, about 20 MiB
+and 0.3 s paid once; ``nfeq.linalg`` (SuperLU) is imported by the first
+fallback, about 10 MiB and 50 ms more. Both loads run outside every timer
+the package reports.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
 one matvec with the B they were solved with.
@@ -31,8 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec
 
 from .functions import eval_on
 from .grids import PiecewiseLinear, UniformGrid, locate
@@ -54,6 +55,27 @@ W = 0.01
 #: temporaries are 128 KiB per array, where whole-array ones at N = 2^18
 #: page-fault on every build (2^13 to 2^15 rows measured within 10%)
 DELAY_BLOCK_ROWS = 2 ** 14
+
+
+#: scipy.sparse once ``load_sparse`` has run: ``import nfeq`` does not load it
+sparse = None
+
+
+def load_sparse() -> None:
+    """Import scipy.sparse and its CSR kernel once per process. ``delay_map``
+    calls it; a caller that times a solve calls it before its clock starts."""
+    global sparse, csr_matvec
+    if sparse is None:
+        from scipy import sparse as module
+        from scipy.sparse._sparsetools import csr_matvec as kernel
+        sparse, csr_matvec = module, kernel
+
+
+def csr_matvec(*args) -> None:
+    """Stand-in for scipy's CSR kernel y += B x until ``load_sparse`` binds
+    the kernel to this name, so ``sweep`` calls it without an import."""
+    load_sparse()
+    csr_matvec(*args)
 
 
 class CollocationError(ArithmeticError):
@@ -103,6 +125,7 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
     n = grid.n
     if n < 2:
         raise ValueError(f"need at least 2 subintervals, got {n}")
+    load_sparse()
     interior = grid.nodes[1:-1]
     # 32-bit indices shrink B and speed up its matvec wherever they fit
     idx = np.int32 if 4 * n <= np.iinfo(np.int32).max else np.int64
@@ -238,6 +261,7 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     """
     validate(p)
     grid = UniformGrid(n)
+    load_sparse()  # the first solve in a process pays it, untimed
     t0 = time.perf_counter()
     b, k = delay_map(p, grid)  # B >= 0, or it raised DomainError
     t1 = time.perf_counter()

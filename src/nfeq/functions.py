@@ -73,8 +73,8 @@ def identity(label: str = "t") -> FunctionHandle:
                           label=label)
 
 
-def _values(f, ts) -> np.ndarray:
-    """f at the points ts, by one vector call or else a scalar loop."""
+def sample(f, ts) -> np.ndarray:
+    """f at the points ts, by one vector call or else a scalar loop; unchecked."""
     fn = f.eval if isinstance(f, FunctionHandle) else f
     try:
         vals = np.asarray(fn(ts), dtype=float)
@@ -96,7 +96,7 @@ def eval_on(f, ts) -> np.ndarray:
     is non-finite.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = _values(f, ts)
+    vals = sample(f, ts)
     if not np.all(np.isfinite(vals)):
         bad = np.flatnonzero(~np.isfinite(vals.ravel()))[0]
         label = getattr(f, "label", getattr(f, "__name__", "f"))
@@ -104,11 +104,12 @@ def eval_on(f, ts) -> np.ndarray:
     return vals
 
 
-def checked_unit(name: str, fn, ts: np.ndarray, row: int | None = None) -> np.ndarray:
-    """clamp_unit(fn(ts)) for 1-d points ts. Its DomainError, raised for a
-    value outside [0, 1] or non-finite, names fn, the point and the value,
-    and, given ``row``, the interior row of ts[0], the collocation node."""
-    vals = _values(fn, ts)
+def checked_unit(name: str, vals: np.ndarray, ts: np.ndarray,
+                 row: int | None = None) -> np.ndarray:
+    """clamp_unit(vals) for the values ``vals = sample(fn, ts)`` of the
+    function called ``name`` at 1-d points ts. Its DomainError, raised for a
+    value outside [0, 1] or non-finite, names the function, the point and the
+    value, and, given ``row``, the interior row of ts[0], the collocation node."""
     try:
         return clamp_unit(vals)
     except DomainError as exc:

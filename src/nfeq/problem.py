@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functions import (BOUNDARY_TOL, DomainError, FunctionHandle, checked_unit, constant,
-                        eval_on, identity)
+                        eval_on, identity, sample)
 from . import holder
 
 
@@ -43,7 +43,7 @@ class ProblemSpec:
         ``functions.checked_unit``: the one reader of the three for the
         equation, so every path clamps them and refuses them with one error.
         ``row`` names ts[0]'s collocation node in that error."""
-        return tuple(checked_unit(name, fn, ts, row) for name, fn in
+        return tuple(checked_unit(name, sample(fn, ts), ts, row) for name, fn in
                      (("phi", self.phi), ("phi1", self.phi1), ("phi2", self.phi2)))
 
     def operator(self, f, t):
@@ -60,20 +60,21 @@ def validate(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES) -> None:
     violations: list[str] = []
     if not 0.0 < p.gamma <= 1.0:
         violations.append(f"gamma={p.gamma} outside (0, 1]")
-    ts = holder.uniform_samples(m)
+    ts = holder.uniform_samples(m)  # ts[0] = 0 and ts[-1] = 1
     in_range = True
+    samples = {}
     for name, fn in (("phi", p.phi), ("phi1", p.phi1), ("phi2", p.phi2)):
         try:
-            checked_unit(name, fn, ts)
+            samples[name] = sample(fn, ts)
+            checked_unit(name, samples[name], ts)
         except DomainError as exc:
             violations.append(str(exc))
             in_range = False
-    p1_end = float(eval_on(p.phi1, np.array([1.0]))[0])
-    p2_start = float(eval_on(p.phi2, np.array([0.0]))[0])
-    if abs(p1_end - 1.0) > BOUNDARY_TOL:
-        violations.append(f"phi1(1)={p1_end!r} != 1")
-    if abs(p2_start) > BOUNDARY_TOL:
-        violations.append(f"phi2(0)={p2_start!r} != 0")
+    # the endpoint conditions read the same raw samples; "not <=" reports NaN
+    if "phi1" in samples and not abs(samples["phi1"][-1] - 1.0) <= BOUNDARY_TOL:
+        violations.append(f"phi1(1)={float(samples['phi1'][-1])!r} != 1")
+    if "phi2" in samples and not abs(samples["phi2"][0]) <= BOUNDARY_TOL:
+        violations.append(f"phi2(0)={float(samples['phi2'][0])!r} != 0")
     form = (p.boundary_left, p.boundary_right)
     if form not in ((0.0, 1.0), (0.0, 0.0)):
         violations.append(
@@ -84,8 +85,8 @@ def validate(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES) -> None:
         if form == (0.0, 1.0) and np.abs(kv).max() > BOUNDARY_TOL:
             violations.append("original form requires source identically 0")
         elif form == (0.0, 0.0) and (abs(kv[0]) > BOUNDARY_TOL or abs(kv[-1]) > BOUNDARY_TOL):
-            violations.append(
-                f"zero-boundary form requires k(0)=k(1)=0, got {kv[0]!r}, {kv[-1]!r}")
+            k0, k1 = float(kv[0]), float(kv[-1])
+            violations.append(f"zero-boundary form requires k(0)=k(1)=0, got {k0!r}, {k1!r}")
     if violations:
         raise ProblemValidationError(violations)
 

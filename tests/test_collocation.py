@@ -1,3 +1,4 @@
+import dis
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from nfeq import collocation, functions, grids, linalg, picard, problem
 from nfeq.functions import FunctionHandle, constant, identity
@@ -450,6 +452,15 @@ def test_sweep_kernel_matches_matmul(n):
             assert np.array_equal(x, ref)
 
 
+def test_sweep_calls_the_kernel_without_importing():
+    # the kernel is bound at module level once a delay map exists: a sweep
+    # runs no import statement
+    collocation.delay_map(_cusp_problem(), grids.UniformGrid(4))
+    assert collocation.csr_matvec is _sparsetools.csr_matvec
+    ops = {ins.opname for ins in dis.get_instructions(collocation.sweep)}
+    assert not ops & {"IMPORT_NAME", "IMPORT_FROM"}
+
+
 def test_sweep_allocates_nothing_of_iterate_size():
     # a sweep that allocated B x (8 (N - 1) bytes) would reach the bound
     n = 2 ** 14 + 1
@@ -600,16 +611,53 @@ for step in order:
 """
 
 
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("first", ["superlu", "singular"])
 def test_sweep_path_stays_lean_and_fallback_works_from_cold(first):
     # only a fresh interpreter shows a broken deferred import of nfeq.linalg:
     # this one has loaded it already; each fallback runs first in one child
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", COLD_FALLBACK, first], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(COLD_FALLBACK, first)
+
+
+LEAN_ANALYSIS = """
+import sys
+import numpy as np
+import nfeq, nfeq.cli
+from nfeq import cli, collocation, grids, picard, problem
+from nfeq.functions import identity
+from nfeq.oracles import cusp_solution, manufacture
+
+base = problem.section5(0.02, 0.5)
+cusp = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5)
+assert problem.certify(cusp.problem, m=257).satisfies_collocation
+assert problem.certify(cusp.problem, overrides=problem.section5_norms(0.02)).rigorous
+trials = grids.random_cusp_trials(np.random.default_rng(0), 5, 0.5)
+grids.measure_projector_norm(0.5, grids.UniformGrid(8), trials, m=129)
+assert picard.picard_exact_counted(base, identity(), 6, 0.5)[1] == 2 ** 7 - 1
+grids.project(cusp.exact, grids.UniformGrid(8))
+problem.residual(cusp.problem, cusp.exact)
+assert cli.main(["certify", "--problem", "cusp"]) == 0
+assert cli.main(["interp-check", "--gamma", "0.5", "--trials", "5"]) == 0
+assert "scipy.sparse" not in sys.modules, "the analysis paths loaded scipy.sparse"
+
+collocation.solve_collocation(cusp.problem, 16)
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_analysis_paths_leave_scipy_sparse_unloaded():
+    # import nfeq, certify, the projector norm and the exact recursion need
+    # no linear algebra; the first delay map loads scipy.sparse
+    run_fresh(LEAN_ANALYSIS)
 
 
 SLOW_LINALG_IMPORT = """
@@ -634,12 +682,40 @@ assert stats.assembly_time + stats.solve_time < 0.25, stats
 def test_fallback_import_is_not_timed():
     # a 0.5 s import of nfeq.linalg in a fresh interpreter must show in
     # neither stats timer
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", SLOW_LINALG_IMPORT], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(SLOW_LINALG_IMPORT)
+
+
+SLOW_SPARSE_IMPORT = """
+import sys, time
+from nfeq import collocation, problem, study
+from nfeq.oracles import cusp_solution, manufacture
+
+
+class SlowSparse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.sparse":
+            time.sleep(0.5)
+        return None
+
+
+sys.meta_path.insert(0, SlowSparse())
+if sys.argv[1] == "solve":
+    stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2), 64).stats
+    assert stats.solver == "sweep", stats
+    assert stats.assembly_time + stats.solve_time < 0.25, stats
+else:
+    base = problem.section5(0.02, 0.5)
+    cusp = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5)
+    rung = study.run_study(cusp, n_ladder=[16, 32, 64, 128]).ladder[0]
+    assert rung.runtime < 0.25, rung
+"""
+
+
+@pytest.mark.parametrize("first", ["solve", "study"])
+def test_sparse_import_is_not_timed(first):
+    # a 0.5 s import of scipy.sparse in a fresh interpreter must show in
+    # neither stats timer of the first solve, nor in the first rung's runtime
+    run_fresh(SLOW_SPARSE_IMPORT, first)
 
 
 def test_singular_system_stops_sweeping_at_n(monkeypatch):

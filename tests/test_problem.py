@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,26 @@ def test_validate_reports_all_violations():
     assert "gamma" in text and "phi1(1)" in text and "phi2(0)" in text
 
 
+@pytest.mark.parametrize("name, end", [("phi1", "phi1(1)=nan != 1"),
+                                       ("phi2", "phi2(0)=nan != 0")])
+def test_validate_reports_a_nan_delay(name, end):
+    # the endpoint conditions read validate's own samples, so a NaN delay is
+    # reported as a violation naming it, not raised as an evaluation error
+    p = replace(problem.paradise_fish(0.05, 0.2), **{name: constant(math.nan)})
+    with pytest.raises(problem.ProblemValidationError) as exc:
+        problem.validate(p)
+    assert exc.value.violations == [f"{name}(0.0) = nan outside [0,1]", end]
+
+
+def test_validate_zero_boundary_message_prints_plain_floats():
+    p = problem.ProblemSpec(phi=identity(), phi1=identity(), phi2=identity(),
+                            source=constant(0.1), boundary_left=0.0,
+                            boundary_right=0.0, gamma=1.0)
+    with pytest.raises(problem.ProblemValidationError) as exc:
+        problem.validate(p)
+    assert exc.value.violations == ["zero-boundary form requires k(0)=k(1)=0, got 0.1, 0.1"]
+
+
 def test_validate_boundary_form():
     p = problem.ProblemSpec(phi=identity(), phi1=identity(), phi2=identity(),
                             source=constant(0.0), boundary_left=0.5,
@@ -401,7 +422,6 @@ _PATHS = {
 @pytest.mark.parametrize("path", list(_PATHS))
 @pytest.mark.parametrize("bad", list(_BAD_COEFFICIENTS))
 def test_every_path_refuses_a_bad_coefficient_alike(bad, path):
-    from dataclasses import replace
     name, fn = _BAD_COEFFICIENTS[bad]
     run, validated, at_node = _PATHS[path]
     p = replace(problem.paradise_fish(0.05, 0.2), **{name: fn})

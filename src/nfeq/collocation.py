@@ -19,24 +19,30 @@ dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
 SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
 for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
 factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
-Importing this module loads no scipy. ``load_sparse`` imports scipy.sparse
-and its CSR kernel for the first delay map built in a process, about 20 MiB
-and 0.3 s paid once; ``nfeq.linalg`` (SuperLU) is imported by the first
-fallback, about 10 MiB and 50 ms more. Both loads run outside every timer
-the package reports.
+B is a ``DelayMap``, a plain CSR triple whose ``b @ x`` runs scipy's
+compiled kernel ``csr_matvec``. ``load_sparse`` loads the kernel's module,
+private to scipy, by file (about 0.2 MiB and 1 ms) rather than all of
+scipy.sparse (20 MiB, 0.2 s); a test checks that it is the module a later
+``import scipy.sparse`` uses. Importing this module loads no scipy, and
+only the SuperLU fallback imports scipy.sparse and ``nfeq.linalg`` (about
+30 MiB and 0.25 s). Both loads run outside every timer the package reports.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
 one matvec with the B they were solved with.
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
 from .functions import eval_on
-from .grids import PiecewiseLinear, UniformGrid, locate
+from .grids import PiecewiseLinear, UniformGrid, place
 from .problem import ProblemSpec, validate
 
 #: interior collocation residual the returned solution must satisfy
@@ -57,18 +63,27 @@ W = 0.01
 DELAY_BLOCK_ROWS = 2 ** 14
 
 
-#: scipy.sparse once ``load_sparse`` has run: ``import nfeq`` does not load it
-sparse = None
+#: the extension module of scipy's CSR kernels, loaded without scipy.sparse
+KERNEL_MODULE = "scipy.sparse._sparsetools"
 
 
 def load_sparse() -> None:
-    """Import scipy.sparse and its CSR kernel once per process. ``delay_map``
-    calls it; a caller that times a solve calls it before its clock starts."""
-    global sparse, csr_matvec
-    if sparse is None:
-        from scipy import sparse as module
-        from scipy.sparse._sparsetools import csr_matvec as kernel
-        sparse, csr_matvec = module, kernel
+    """Bind scipy's CSR kernel to ``csr_matvec``. Its module is loaded once
+    by file, without scipy.sparse's ``__init__``, and registered under its
+    own name: a later ``import scipy.sparse`` reuses it, as this does one
+    registered before. A caller that times a solve calls this first."""
+    global csr_matvec
+    module = sys.modules.get(KERNEL_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        where = os.path.join(scipy.submodule_search_locations[0], "sparse")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+            KERNEL_MODULE)
+        if spec is None:
+            raise ImportError(f"no {KERNEL_MODULE} extension in {where}", name=KERNEL_MODULE)
+        module = sys.modules[KERNEL_MODULE] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    csr_matvec = module.csr_matvec
 
 
 def csr_matvec(*args) -> None:
@@ -93,6 +108,29 @@ class AssemblyStats:
     solver: str
 
 
+@dataclass(frozen=True, eq=False)
+class DelayMap:
+    """B in CSR form: row i holds data[j] in column indices[j] for
+    indptr[i] <= j < indptr[i+1]. ``b @ x`` runs the CSR kernel into a
+    zeroed vector, as scipy's ``csr_array @ x`` does: the same floats."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if np.shape(x) != self.shape[1:]:  # the kernel does not check
+            raise ValueError(f"cannot apply a {self.shape} map to shape {np.shape(x)}")
+        y = np.zeros(self.shape[0])
+        csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, y)
+        return y
+
+
 @dataclass(frozen=True)
 class CollocationSolution:
     solution: PiecewiseLinear
@@ -101,10 +139,10 @@ class CollocationSolution:
     stats: AssemblyStats
 
 
-def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.ndarray]:
+def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[DelayMap, np.ndarray]:
     """The delay map B over all N+1 nodes and the source k at the interior nodes.
 
-    Row i of the (N-1)x(N+1) CSR array B holds the hat-function weights of
+    Row i of the (N-1)x(N+1) map B holds the hat-function weights of
     phi1(t_i) and phi2(t_i), scaled by phi(t_i) and 1 - phi(t_i): four
     entries per row, so (B u)_i = phi u(phi1(t_i)) + (1 - phi) u(phi2(t_i))
     for the piecewise-linear u with nodal values u. Entries may repeat a
@@ -137,18 +175,18 @@ def delay_map(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.n
         ts = interior[rows]
         phi_vals, x1, x2 = p.coefficients(ts, lo)
         for col, coeff, x in ((0, phi_vals, x1), (2, 1.0 - phi_vals, x2)):
-            i, w = locate(grid, x)
+            i, w = place(grid, x)  # x: coefficients' own clamped copy
             np.multiply(coeff, w, out=data[rows, col + 1])
             np.multiply(coeff, np.subtract(1.0, w, out=w), out=data[rows, col])
             indices[rows, col] = i
             np.add(i, 1, out=indices[rows, col + 1], casting="unsafe")
         k[rows] = eval_on(p.source, ts)
-    b = sparse.csr_array((data.ravel(), indices.ravel(), np.arange(0, 4 * n, 4, dtype=idx)),
-                         shape=(n - 1, n + 1))
+    b = DelayMap(data.ravel(), indices.ravel(), np.arange(0, 4 * n, 4, dtype=idx),
+                 (n - 1, n + 1))
     return b, k
 
 
-def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.ndarray]:
+def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple["sparse.csr_array", np.ndarray]:
     """Build the sparse (N-1)x(N-1) interior system and its right-hand side.
 
     Row i enforces u_i - (B u)_i = k(t_i) for the delay map B: its columns
@@ -158,9 +196,10 @@ def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple[sparse.csr_array, np.nd
     return _interior_system(p, *delay_map(p, grid))
 
 
-def _interior_system(p: ProblemSpec, b: sparse.csr_array,
-                     k: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
+def _interior_system(p: ProblemSpec, b: DelayMap,
+                     k: np.ndarray) -> tuple["sparse.csr_array", np.ndarray]:
     """``assemble`` from a delay map B and source k already built."""
+    from scipy import sparse  # only the SuperLU fallback needs scipy.sparse
     n = b.shape[0] + 1
     # I - B on the interior columns, the unit diagonal ahead of each row's
     # four B entries so duplicates sum in the row-loop reference's order;
@@ -181,7 +220,7 @@ def _interior_system(p: ProblemSpec, b: sparse.csr_array,
     return a, k + b @ boundary
 
 
-def sweep(b: sparse.csr_array, k, x: np.ndarray, y: np.ndarray) -> float:
+def sweep(b: DelayMap, k, x: np.ndarray, y: np.ndarray) -> float:
     """One Picard sweep y[1:-1] <- B x + k; no array of iterate size is made.
 
     x and y share boundary values, and the caller swaps them after a sweep.
@@ -196,7 +235,7 @@ def sweep(b: sparse.csr_array, k, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(old, out=old)))
 
 
-def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
+def _certified_sweeps(p: ProblemSpec, b: DelayMap,
                       k: np.ndarray) -> tuple[np.ndarray | None, float, int]:
     """Sweep u (data k) until certified, and w (data 1) until dw <= W.
 
@@ -237,12 +276,19 @@ def _certified_sweeps(p: ProblemSpec, b: sparse.csr_array,
     return None, np.inf, sweeps
 
 
-def _interior_norm(b: sparse.csr_array) -> float:
+def _interior_norm(b: DelayMap) -> float:
     """||I - B_int||_inf for B >= 0, without building I - B.
 
-    Row i sums |1 - B_ii| and the other interior entries of B's row i.
+    Row i sums |1 - B_ii| and the other interior entries of B's row i. The
+    diagonal comes from B's columns, four per row: entries in one row add
+    in row order from 0, as scipy's ``diagonal`` adds them.
     """
-    diag = b.diagonal(1)  # row i of B belongs to interior node i + 1
+    n = b.shape[0] + 1
+    # row i of B belongs to interior node i + 1
+    hits = np.flatnonzero(b.indices.reshape(n - 1, 4)
+                          == np.arange(1, n, dtype=b.indices.dtype)[:, None])
+    diag = np.zeros(n - 1)
+    np.add.at(diag, hits // 4, b.data[hits])
     interior = np.ones(b.shape[1])
     interior[[0, -1]] = 0.0
     rows = np.abs(1.0 - diag)

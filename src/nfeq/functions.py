@@ -39,7 +39,7 @@ def clamp_unit(t) -> np.ndarray:
     Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
     further out, or NaN, raises DomainError carrying its index.
     """
-    ts = np.array(t, dtype=float, ndmin=1)  # a copy: grids.locate writes into it
+    ts = np.array(t, dtype=float, ndmin=1)  # a copy: grids.place writes into it
     lo, hi = ts.min(initial=np.inf), ts.max(initial=-np.inf)  # an empty t passes
     if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):  # NaN fails too
         k = int(np.flatnonzero(~((ts >= -CLAMP_TOL) & (ts <= 1.0 + CLAMP_TOL)))[0])

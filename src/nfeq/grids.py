@@ -1,7 +1,8 @@
 """Uniform grids, the piecewise-linear interpolation projector and its bounds.
 
-``locate`` checks every point with ``functions.clamp_unit``; the delays
-``collocation.delay_map`` places come checked by ``ProblemSpec.coefficients``.
+``locate`` checks every point with ``functions.clamp_unit`` and hands it to
+``place``; ``collocation.delay_map`` calls ``place`` directly on the delays
+``ProblemSpec.coefficients`` already checked.
 """
 from __future__ import annotations
 
@@ -43,26 +44,32 @@ class UniformGrid:
 
 
 def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index i and hat weight w with t = (1 - w) t_i + w t_{i+1}.
+    """``place`` for points t checked and clamped by clamp_unit, a fresh copy."""
+    return place(grid, clamp_unit(t))
 
-    The points pass through clamp_unit first. The cell is floor(t N), moved
-    by one step where rounding put t N on the wrong side of a node, so i
-    equals searchsorted(grid.nodes, t, "right") - 1 clipped to [0, N-1].
+
+def place(grid: UniformGrid, tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index i and hat weight w with tc = (1 - w) t_i + w t_{i+1}.
+
+    tc is a 1-d float array already in [0, 1]; w is computed in place in it.
+    The cell is floor(tc N), moved by one step where rounding put tc N on the
+    wrong side of a node, so i equals searchsorted(grid.nodes, tc, "right")
+    - 1 clipped to [0, N-1].
     """
-    tc = clamp_unit(t)
     nodes, n = grid.nodes, grid.n
-    # floor(t N) as tc >= 0, cast straight into the index array
+    rights = nodes[1:]  # t_{i+1} as rights.take(i): no i + 1 array is made
+    # floor(tc N) as tc >= 0, cast straight into the index array
     i = np.multiply(tc, n, out=np.empty(tc.shape, np.intp), casting="unsafe")
     np.minimum(i, n - 1, out=i)
-    left = nodes[i]
-    width = nodes[i + 1]
+    left = nodes.take(i)
+    width = rights.take(i)
     below, above = left > tc, width <= tc
     if below.any() or above.any():
         above &= i < n - 1  # the last cell ends at t = 1
         i -= below
         i += above
-        left = nodes[i]
-        width = nodes[i + 1]
+        left = nodes.take(i)
+        width = rights.take(i)
     # w = (tc - left) / (right - left) in place: fewer full-size temporaries
     # halve the page faults of grid Picard at N = 2^18 (measured)
     width -= left

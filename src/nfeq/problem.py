@@ -42,7 +42,8 @@ class ProblemSpec:
         """phi, phi1 and phi2 at the 1-d points ts, each through
         ``functions.checked_unit``: the one reader of the three for the
         equation, so every path clamps them and refuses them with one error.
-        ``row`` names ts[0]'s collocation node in that error."""
+        Each is a fresh array the caller owns. ``row`` names ts[0]'s
+        collocation node in that error."""
         return tuple(checked_unit(name, sample(fn, ts), ts, row) for name, fn in
                      (("phi", self.phi), ("phi1", self.phi1), ("phi2", self.phi2)))
 

@@ -301,14 +301,22 @@ def test_fallback_condition_is_exact(beta, budget, monkeypatch):
         assert abs(sol.condition - exact) <= 1e-12 * exact
 
 
-def random_substochastic_map(rng, n):
+def random_substochastic_map(rng, n, idx=np.int32):
     """A random (N-1)x(N+1) map B >= 0 with row sums in [0.3, 0.9], four
     entries per row as ``delay_map`` builds them."""
-    cols = rng.integers(0, n + 1, size=(n - 1, 4)).astype(np.int32)
+    cols = rng.integers(0, n + 1, size=(n - 1, 4)).astype(idx)
     data = rng.uniform(0.0, 1.0, size=(n - 1, 4))
     data *= rng.uniform(0.3, 0.9, size=(n - 1, 1)) / data.sum(axis=1, keepdims=True)
-    return sparse.csr_array((data.ravel(), cols.ravel(), 4 * np.arange(n, dtype=np.int32)),
-                            shape=(n - 1, n + 1))
+    return collocation.DelayMap(data.ravel(), cols.ravel(), 4 * np.arange(n, dtype=idx),
+                                (n - 1, n + 1))
+
+
+def dense(b):
+    """A DelayMap as a dense array, built from its CSR triple."""
+    out = np.zeros(b.shape)
+    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    np.add.at(out, (rows, b.indices), b.data)
+    return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
@@ -323,9 +331,24 @@ def test_frozen_bound_brackets_exact_inverse_norm(n, monkeypatch):
         k = rng.uniform(-1.0, 1.0, n - 1)
         u, bound, sweeps = collocation._certified_sweeps(p, b, k)
         assert u is not None
-        a = np.eye(n - 1) - b.toarray()[:, 1:-1]
+        a = np.eye(n - 1) - dense(b)[:, 1:-1]
         exact_inv = np.abs(np.linalg.inv(a)).sum(axis=1).max()
         assert exact_inv <= bound <= exact_inv / (1.0 - collocation.W) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17])
+def test_interior_norm_matches_scipy_diagonal(n):
+    # random columns put 0, 1 or 2 entries of a row on the diagonal; the norm
+    # must round exactly as from scipy's diagonal and matvec
+    rng = np.random.default_rng(n)
+    interior = np.ones(n + 1)
+    interior[[0, -1]] = 0.0
+    for _ in range(50):
+        b = random_substochastic_map(rng, n)
+        ref_b = sparse.csr_array((b.data, b.indices, b.indptr), shape=b.shape)
+        diag = ref_b.diagonal(1)
+        ref = float((np.abs(1.0 - diag) + ref_b @ interior - diag).max())
+        assert collocation._interior_norm(b) == ref
 
 
 def count_sweeps(monkeypatch):
@@ -450,6 +473,34 @@ def test_sweep_kernel_matches_matmul(n):
             assert collocation.sweep(b, k, x, y) == matmul_sweep(b, k, ref)
             x, y = y, x
             assert np.array_equal(x, ref)
+
+
+def test_sweep_kernel_takes_int64_indices():
+    # delay_map stores int64 indices once 4N exceeds int32: pin the kernel's
+    # int64 template to scipy's b @ x on int32 copies of the indices
+    n = 97
+    rng = np.random.default_rng(64)
+    b = random_substochastic_map(rng, n, np.int64)
+    assert b.indices.dtype == b.indptr.dtype == np.int64
+    ref_b = sparse.csr_array((b.data, b.indices.astype(np.int32),
+                              b.indptr.astype(np.int32)), shape=b.shape)
+    assert ref_b.indices.dtype == np.int32
+    k = rng.uniform(-1.0, 1.0, n - 1)
+    x = rng.uniform(-1.0, 1.0, n + 1)
+    ref, y = x.copy(), x.copy()
+    for _ in range(5):
+        assert np.array_equal(b @ x, ref_b @ x)
+        assert collocation.sweep(b, k, x, y) == matmul_sweep(ref_b, k, ref)
+        x, y = y, x
+        assert np.array_equal(x, ref)
+
+
+def test_delay_map_matmul_checks_the_shape():
+    # the kernel reads x unchecked: a short x must not reach it
+    b, _ = collocation.delay_map(_cusp_problem(), grids.UniformGrid(8))
+    for x in (np.ones(8), np.ones(10), np.ones((9, 1))):
+        with pytest.raises(ValueError, match="cannot apply"):
+            b @ x
 
 
 def test_sweep_calls_the_kernel_without_importing():
@@ -632,7 +683,7 @@ LEAN_ANALYSIS = """
 import sys
 import numpy as np
 import nfeq, nfeq.cli
-from nfeq import cli, collocation, grids, picard, problem
+from nfeq import cli, collocation, grids, picard, problem, study
 from nfeq.functions import identity
 from nfeq.oracles import cusp_solution, manufacture
 
@@ -648,15 +699,20 @@ problem.residual(cusp.problem, cusp.exact)
 assert cli.main(["certify", "--problem", "cusp"]) == 0
 assert cli.main(["interp-check", "--gamma", "0.5", "--trials", "5"]) == 0
 assert "scipy.sparse" not in sys.modules, "the analysis paths loaded scipy.sparse"
+assert collocation.KERNEL_MODULE not in sys.modules
 
 collocation.solve_collocation(cusp.problem, 16)
-assert "scipy.sparse" in sys.modules
+grid = grids.UniformGrid(64)
+picard.picard_grid(cusp.problem, grid, picard.initial_iterate(cusp.problem, grid))
+study.run_study(cusp, n_ladder=[16, 32, 64, 128])
+assert collocation.KERNEL_MODULE in sys.modules
+assert "scipy.sparse" not in sys.modules, "the sweep path loaded scipy.sparse"
 """
 
 
 def test_analysis_paths_leave_scipy_sparse_unloaded():
     # import nfeq, certify, the projector norm and the exact recursion need
-    # no linear algebra; the first delay map loads scipy.sparse
+    # no linear algebra, and the sweep path loads scipy's CSR kernel alone
     run_fresh(LEAN_ANALYSIS)
 
 
@@ -685,20 +741,24 @@ def test_fallback_import_is_not_timed():
     run_fresh(SLOW_LINALG_IMPORT)
 
 
-SLOW_SPARSE_IMPORT = """
+SLOW_KERNEL_LOAD = """
 import sys, time
 from nfeq import collocation, problem, study
 from nfeq.oracles import cusp_solution, manufacture
 
 
-class SlowSparse:
+class SlowKernel:
+    # load_sparse finds scipy through sys.meta_path, then loads the kernel
+    calls = 0
+
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy.sparse":
+        if name == "scipy":
+            SlowKernel.calls += 1
             time.sleep(0.5)
         return None
 
 
-sys.meta_path.insert(0, SlowSparse())
+sys.meta_path.insert(0, SlowKernel())
 if sys.argv[1] == "solve":
     stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2), 64).stats
     assert stats.solver == "sweep", stats
@@ -708,14 +768,48 @@ else:
     cusp = manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5)
     rung = study.run_study(cusp, n_ladder=[16, 32, 64, 128]).ladder[0]
     assert rung.runtime < 0.25, rung
+assert SlowKernel.calls == 1, SlowKernel.calls
+assert collocation.KERNEL_MODULE in sys.modules
 """
 
 
 @pytest.mark.parametrize("first", ["solve", "study"])
 def test_sparse_import_is_not_timed(first):
-    # a 0.5 s import of scipy.sparse in a fresh interpreter must show in
+    # a 0.5 s load of the CSR kernel in a fresh interpreter must show in
     # neither stats timer of the first solve, nor in the first rung's runtime
-    run_fresh(SLOW_SPARSE_IMPORT, first)
+    run_fresh(SLOW_KERNEL_LOAD, first)
+
+
+KERNEL_IDENTITY = """
+import sys
+import numpy as np
+from nfeq import collocation, grids, problem
+
+if sys.argv[1] == "before":
+    import scipy.sparse
+collocation.delay_map(problem.paradise_fish(0.05, 0.2), grids.UniformGrid(16))
+if sys.argv[1] == "after":
+    assert "scipy.sparse" not in sys.modules
+    import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is sys.modules[collocation.KERNEL_MODULE]
+assert collocation.csr_matvec is _sparsetools.csr_matvec
+
+from nfeq import linalg  # loads scipy.sparse.linalg onto the shared kernel
+p = problem.paradise_fish(0.05, 0.8)
+a, rhs = collocation.assemble(p, grids.UniformGrid(1024))
+lu = linalg.factor(a)
+sol = collocation.solve_collocation(p, 1024)
+assert sol.stats.solver == "superlu", sol.stats
+assert np.array_equal(sol.solution.values[1:-1], lu.solve(rhs))
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_kernel_is_scipy_sparse_own(order):
+    # whether scipy.sparse is imported before or after the kernel is loaded
+    # by file, both share one kernel module, and SuperLU still solves
+    run_fresh(KERNEL_IDENTITY, order)
 
 
 def test_singular_system_stops_sweeping_at_n(monkeypatch):

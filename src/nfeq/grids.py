@@ -290,7 +290,13 @@ def read_csv(path) -> PiecewiseLinear:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["t", "value"]:
             raise ValueError(f"{path}: expected header 't,value', got {header}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for r in filter(None, reader):  # blank lines are skipped
+            try:
+                rows.append((float(r[0]), float(r[1])))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: expected a row 't,value', "
+                                 f"got {','.join(r)!r}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 rows")
     ts = np.array([r[0] for r in rows])

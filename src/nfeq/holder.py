@@ -9,32 +9,33 @@ every pair returns, from a small fraction of the pairs.
 It is a branch-and-bound over tiles I x J, pairs of blocks of the sorted
 samples (Lipschitz branch-and-bound, Shubert 1972, run over pairs of blocks
 as in dual-tree algorithms). Dyadic blocks of TILE_LEAF samples and up carry
-their value range (min, max and the first samples reaching them) and their
-largest adjacent slope. For 0 < gamma <= 1 every pair (a, b) of a tile obeys
-two bounds, and the tile's bound is the smaller:
+their value range and their largest adjacent slope, the step into the next
+block included. For 0 < gamma <= 1 every pair (a, b) of a tile obeys two
+bounds, and the tile's bound is the smaller:
 
 - oscillation: with g = t_first(J) - t_last(I), the gap from I to J,
   |v_a - v_b| / |t_a - t_b|^gamma <= max(max_J v - min_I v, max_I v -
   min_J v) / g^gamma. Scanned pairs are at least MIN_PAIR_SEPARATION apart,
   so g is taken no smaller, which makes the bound hold for I = J too;
 - Lipschitz, for J = I or J the block after I: a chord of sorted samples is
-  the sum of the adjacent steps it spans, so with L their largest slope and
-  s the span of I u J, |v_a - v_b| <= L |t_a - t_b| and the quotient is at
-  most L s^(1 - gamma). It is the only bound that prunes next to the
-  diagonal, where g is one sample spacing.
+  the sum of the adjacent steps it spans, each counted in the slope of I or
+  of J, so with L the larger of the two and s the span of I u J,
+  |v_a - v_b| <= L |t_a - t_b| and the quotient is at most L s^(1 - gamma).
+  It is the only bound that prunes next to the diagonal, where g is one
+  sample spacing.
 
 Each function's running maximum starts at its adjacent-pair quotients.
 Refinement is depth first: a stack holds batches of at most MAX_LIVE_TILES
 tiles of one level, starting from all pairs of the top level's at most
-TOP_BLOCKS blocks. Each batch popped adds its live tiles' witness pairs
-(first of I, last of J), (argmax of I, argmin of J) and (argmin of I, argmax
-of J), computed by the scan's own float steps (``_pair_distances``,
-``_divide``), so the running maximum is always a member of the maximum. A
-tile is dropped where its bound is <= the running maximum. Above the leaves
-the rest split in four (less the children below the diagonal) and go back
-on the stack, first batch on top; at the leaves they are gathered and
-scanned LEAF_CHUNK at a time. The stack holds a few batches per level,
-whatever K and m, which bounds memory.
+TOP_BLOCKS blocks. Each batch popped adds one witness pair per live tile,
+(first of I, last of J), computed by the scan's own float steps
+(``_pair_distances``, ``_divide``), so the running maximum is always a
+member of the maximum; it spans the tile, so on smooth data its quotient
+comes near the tile's bound. A tile is dropped where its bound is <= the
+running maximum. Above the leaves the rest split in four (less the
+children below the diagonal) and go back on the stack, first batch on top;
+at the leaves they are gathered and scanned LEAF_CHUNK at a time. The
+stack holds a few batches per level, whatever K and m, which bounds memory.
 
 Why pruning cannot change the float maximum: the bounds hold for exact
 quotients, while the scan and the bounds compute in floats, each step
@@ -57,8 +58,8 @@ taken as inf: nothing is pruned and the leaf scan covers every pair.
 
 The Lipschitz norms take only adjacent samples: by the Lipschitz bound the
 largest adjacent slope is the pair maximum in exact arithmetic (in floats
-it is never above the pair scan, whose own adjacent quotients it is, and
-within a few ulps of it). The projector-norm study
+it is never above the pair scan, whose own adjacent quotients it is, by
+``_adjacent_quotients``, and within a few ulps of it). The projector-norm study
 (``grids.measure_projector_norm``) bounds a piecewise-linear function's
 sampled seminorm by its node-pair seminorm and scans a projection only when
 that bound could raise the maximum. Checks report (lhs, rhs, margin)
@@ -112,6 +113,11 @@ def _divide(dv: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return dv
 
 
+def _adjacent_quotients(t: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
+    """|v_{i+1} - v_i| / |t_{i+1} - t_i|^gamma per function, as the pair scan takes them."""
+    return _divide(v[:, 1:] - v[:, :-1], _pair_distances(t[1:] - t[:-1], gamma))
+
+
 def _allow(bound: np.ndarray) -> np.ndarray:
     """bound (1 + BOUND_REL) + BOUND_ULPS ulps: the float allowance."""
     out = bound * (1.0 + BOUND_REL)
@@ -142,8 +148,7 @@ def pairwise_seminorm(ts: np.ndarray, vals: np.ndarray, gamma: float):
         if np.any(ts[1:] < ts[:-1]):
             order = np.argsort(ts, kind="stable")
             t, v = ts[order], rows[:, order]
-        dt = _pair_distances(t[1:] - t[:-1], gamma)
-        best = _divide(v[:, 1:] - v[:, :-1], dt).max(axis=1)
+        best = _adjacent_quotients(t, v, gamma).max(axis=1)
         # bounds may be inf or NaN (duplicate points), which keeps tiles
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _refine(t, v, gamma, best)
@@ -154,12 +159,10 @@ def _block_levels(v: np.ndarray, slopes: np.ndarray) -> list:
     """Per dyadic level, from TILE_LEAF samples up to at most TOP_BLOCKS blocks.
 
     ``slopes`` are the allowed adjacent slopes, slopes[:, i] from sample i
-    to i + 1. Each level is (vmin, vmax, amin, amax, lip_in, lip_out), flat
-    over (function k, block b) at k * width + b: the block's value range,
-    the first sample indices reaching it, and its largest adjacent slope
-    inside the block (lip_in) or including the step to the next block
-    (lip_out). A lone last block gets an empty sibling, which never wins a
-    min, a max or a slope.
+    to i + 1. Each level is (vmin, vmax, lip), flat over (function k, block
+    b) at k * width + b: the block's value range and its largest adjacent
+    slope, the step to the next block included. A lone last block gets an
+    empty sibling, which never wins a min, a max or a slope.
     """
     k, m = v.shape
     width = -(-m // TILE_LEAF)
@@ -172,29 +175,14 @@ def _block_levels(v: np.ndarray, slopes: np.ndarray) -> list:
     st = np.zeros((k, width * TILE_LEAF))
     st[:, :m - 1] = slopes
     st = st.reshape(k, width, TILE_LEAF).transpose(2, 0, 1).copy()
-    vmin, vmax = vt.min(axis=0), vt.max(axis=0)
-    amin = np.zeros((k, width), np.intp)
-    amax = np.zeros((k, width), np.intp)
-    for off in range(TILE_LEAF - 1, -1, -1):
-        amin[vt[off] == vmin] = off
-        amax[vt[off] == vmax] = off
-    first = np.arange(0, width * TILE_LEAF, TILE_LEAF)
-    level = (vmin, vmax, amin + first, amax + first, st[:-1].max(axis=0), st.max(axis=0))
+    level = (vt.min(axis=0), vt.max(axis=0), st.max(axis=0))
     levels = [tuple(a.ravel() for a in level)]
     while width > TOP_BLOCKS:
         if width % 2:
-            level = tuple(np.concatenate((a, np.full((k, 1), c, a.dtype)), axis=1)
-                          for a, c in zip(level, (np.inf, -np.inf, 0, 0, 0.0, 0.0)))
-        vmin, vmax, amin, amax, lip_in, lip_out = level
-        left, right = np.s_[:, 0::2], np.s_[:, 1::2]
-        lo = vmin[left] <= vmin[right]
-        hi = vmax[left] >= vmax[right]
-        level = (np.where(lo, vmin[left], vmin[right]),
-                 np.where(hi, vmax[left], vmax[right]),
-                 np.where(lo, amin[left], amin[right]),
-                 np.where(hi, amax[left], amax[right]),
-                 np.maximum(lip_out[left], lip_in[right]),
-                 np.maximum(lip_out[left], lip_out[right]))
+            level = tuple(np.concatenate((a, np.full((k, 1), c)), axis=1)
+                          for a, c in zip(level, (np.inf, -np.inf, 0.0)))
+        level = tuple(f(a[:, 0::2], a[:, 1::2])
+                      for f, a in zip((np.minimum, np.maximum, np.maximum), level))
         width = level[0].shape[1]
         levels.append(tuple(a.ravel() for a in level))
     return levels
@@ -215,7 +203,7 @@ def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
     the bounds are those of the module docstring, and inf for an exponent
     outside (0, 1], where they fail.
     """
-    vmin, vmax, _, _, lip_in, lip_out = level
+    vmin, vmax, lip = level
     m = t.size
     width = -(-m // size)
     first = np.arange(0, m, size)
@@ -227,9 +215,9 @@ def _tile_bounds(t: np.ndarray, level: tuple, size: int, tk: np.ndarray,
     gap = t[first[tj]] - t[last[ti]]
     np.maximum(gap, MIN_PAIR_SEPARATION, out=gap)
     bound = osc / gap ** gamma
-    lip = np.maximum(np.where(ti == tj, lip_in[ii], lip_out[ii]), lip_in[jj])
-    lip *= (t[last[tj]] - t[first[ti]]) ** (1.0 - gamma)
-    np.minimum(bound, lip, out=bound, where=tj - ti <= 1)
+    chord = np.maximum(lip[ii], lip[jj])
+    chord *= (t[last[tj]] - t[first[ti]]) ** (1.0 - gamma)
+    np.minimum(bound, chord, out=bound, where=tj - ti <= 1)
     return _allow(bound), osc
 
 
@@ -259,16 +247,10 @@ def _refine(t: np.ndarray, v: np.ndarray, gamma: float, best: np.ndarray) -> Non
         # a tile of one value has only zero quotients
         keep = ~(bound <= best[tk]) & (osc != 0.0)
         tk, ti, tj, bound = tk[keep], ti[keep], tj[keep], bound[keep]
-        # witnesses, by the scan's own float steps
-        _, _, amin, amax, _, _ = levels[lev]
-        width = amin.size // k
-        ii, jj = tk * width + ti, tk * width + tj
-        a = np.concatenate((ti * size, amax[ii], amin[ii]))
-        b = np.concatenate((np.minimum(tj * size + size, m) - 1, amin[jj], amax[jj]))
-        wk = np.tile(tk, 3)
-        w = _divide(flat[wk * m + a] - flat[wk * m + b],
-                    _pair_distances(t[a] - t[b], gamma))
-        np.maximum.at(best, wk, w)
+        # each tile's witness pair, by the scan's own float steps
+        a, b = ti * size, np.minimum(tj * size + size, m) - 1
+        w = _divide(flat[tk * m + a] - flat[tk * m + b], _pair_distances(t[a] - t[b], gamma))
+        np.maximum.at(best, tk, w)
         keep = ~(bound <= best[tk])
         tk, ti, tj = tk[keep], ti[keep], tj[keep]
         if lev == 0:
@@ -348,9 +330,8 @@ def estimate_lipschitz_norms(fs, m: int = DEFAULT_SAMPLES) -> list[float]:
     """
     ts = uniform_samples(m)
     vals = np.stack([eval_on(f, ts) for f in fs])
-    slopes = np.abs(np.diff(vals, axis=1))
-    slopes /= np.diff(ts)
-    return [float(n) for n in np.abs(vals[:, 0]) + slopes.max(axis=1)]
+    slopes = _adjacent_quotients(ts, vals, 1.0).max(axis=1)
+    return [float(n) for n in np.abs(vals[:, 0]) + slopes]
 
 
 def check_embedding_inequality(f, gamma: float, beta: float,

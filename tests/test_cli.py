@@ -302,6 +302,19 @@ def test_custom_problem_from_csv(tmp_path, capsys):
     assert "solved N=16" in out
 
 
+def test_custom_problem_short_csv_row(tmp_path, capsys):
+    # a one-column row is a usage error naming the file and line, not a traceback
+    args = tabulated_problem_args(tmp_path)
+    path = args[args.index("--phi1-csv") + 1]
+    with open(path, "a") as fh:
+        fh.write("0.5\n")
+    code, out, err = run(["certify"] + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"nfeq: {path}:67: expected a row 't,value', got '0.5'\n"
+    assert "Traceback" not in err
+
+
 def test_custom_problem_phi_outside_unit_interval(tmp_path, capsys):
     # a tabulated phi = 1.5 is refused by validation, before any solver
     g = grids.UniformGrid(8)

@@ -368,15 +368,14 @@ def test_write_csv_bytes(tmp_path):
     assert path.read_bytes() == b"t,value\r\n0,0\r\n0.5,0.33333333333333331\r\n1,1\r\n"
 
 
-def test_csv_header_validation(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    ("x,y\n0,0\n1,1\n", "expected header 't,value'"),
+    ("t,value\n0,0\n0.4,0.5\n1,1\n", "not a uniform grid"),
+    ("t,value\n0,0\n0.5\n1,1\n", r"bad\.csv:3: expected a row 't,value', got '0\.5'"),
+    ("t,value\n0,0\n0.5,x\n1,1\n", r"bad\.csv:3: expected a row 't,value', got '0\.5,x'"),
+], ids=["header", "nonuniform", "short-row", "not-a-number"])
+def test_csv_rejected(tmp_path, text, match):
     path = tmp_path / "bad.csv"
-    path.write_text("x,y\n0,0\n1,1\n")
-    with pytest.raises(ValueError):
-        grids.read_csv(path)
-
-
-def test_csv_nonuniform_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,value\n0,0\n0.4,0.5\n1,1\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         grids.read_csv(path)

@@ -36,6 +36,7 @@ import importlib.util
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -71,7 +72,11 @@ def load_sparse() -> None:
     """Bind scipy's CSR kernel to ``csr_matvec``. Its module is loaded once
     by file, without scipy.sparse's ``__init__``, and registered under its
     own name: a later ``import scipy.sparse`` reuses it, as this does one
-    registered before. A caller that times a solve calls this first."""
+    registered before. Where no extension file is found there (a scipy
+    whose compiled modules are not beside its sources, as in an editable
+    meson-python build, which loads them from its build directory), the
+    module is imported through scipy.sparse, with a RuntimeWarning naming
+    the directory searched. A caller that times a solve calls this first."""
     global csr_matvec
     module = sys.modules.get(KERNEL_MODULE)
     if module is None:
@@ -80,9 +85,12 @@ def load_sparse() -> None:
         spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
             KERNEL_MODULE)
         if spec is None:
-            raise ImportError(f"no {KERNEL_MODULE} extension in {where}", name=KERNEL_MODULE)
-        module = sys.modules[KERNEL_MODULE] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+            warnings.warn(f"no {KERNEL_MODULE} extension in {where}: importing it "
+                          "through scipy.sparse", RuntimeWarning, stacklevel=2)
+            module = importlib.import_module(KERNEL_MODULE)
+        else:
+            module = sys.modules[KERNEL_MODULE] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
     csr_matvec = module.csr_matvec
 
 

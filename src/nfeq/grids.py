@@ -193,25 +193,34 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
                            m: int = holder.DEFAULT_SAMPLES) -> float:
     """Empirical lower bound on ||P_h||: max ratio of sampled gamma-norms.
 
-    One pair scan serves every trial. A projection is scanned only where it
-    can raise the maximum: its sampled seminorm is at most its
-    ``node_pair_bounds`` entry, so trials go in falling order of
-    (|v_0| + bound) / ||f|| and the scan stops once that ratio cannot exceed
-    the running maximum. Float rounding is monotone, so the result is the
-    full scan's, bit for bit. When grid.n + 1 >= m the node-pair scan would
-    cost more than the sampled one, the bounds are inf and every projection
-    is scanned. A scanned projection above its bound raises RuntimeError:
-    an unsound bound never prunes silently.
+    One evaluation per trial, on the m samples and the grid nodes at once:
+    the samples give ||f||, the nodes P_h f's data. A non-finite value
+    raises, trial after trial, the error ``eval_on`` raises at a sample, or
+    else ``project``'s at a node. One pair scan serves every trial. A
+    projection is built and scanned only where it can raise the maximum:
+    its sampled seminorm is at most its ``node_pair_bounds`` entry, so
+    trials go in falling order of (|v_0| + bound) / ||f|| and the scan
+    stops once that ratio cannot exceed the running maximum. Float rounding
+    is monotone, so the result is the full scan's, bit for bit. When
+    grid.n + 1 >= m the node-pair scan would cost more than the sampled
+    one, the bounds are inf and every projection is scanned. A scanned
+    projection above its bound raises RuntimeError: an unsound bound never
+    prunes silently.
     """
     trials = list(trial_functions)
     if not trials:
         raise ValueError("trial set must be nonempty")
     ts = holder.uniform_samples(m)
-    vals = np.empty((len(trials), m))
-    projections = []
+    points = np.concatenate((ts, grid.nodes))
+    sampled = np.empty((len(trials), points.size))
     for i, f in enumerate(trials):
-        vals[i] = eval_on(f, ts)
-        projections.append(project(f, grid))
+        try:
+            sampled[i] = eval_on(f, points)
+        except EvaluationError:
+            eval_on(f, ts)  # raises a sample's error as the samples alone do
+            project(f, grid)  # else a node's, with its grid node
+            raise
+    vals = sampled[:, :m]
     norms = np.abs(vals[:, 0]) + holder.pairwise_seminorm(ts, vals, gamma)
     for f, norm_f in zip(trials, norms):
         if norm_f <= 0.0:
@@ -219,7 +228,7 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
     live = np.flatnonzero(norms > 0.0)
     if live.size == 0:
         raise ValueError("all trial functions had zero sampled norm")
-    nodal = np.stack([projections[i].values for i in live])
+    nodal = sampled[live, m:]
     bounds = (node_pair_bounds(grid, nodal, gamma, ts) if grid.n + 1 < m
               else np.full(live.size, np.inf))
     reach = (np.abs(nodal[:, 0]) + bounds) / norms[live]
@@ -228,7 +237,7 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
         if reach[k] <= best:
             break
         i = live[k]
-        pv = projections[i].evaluate(ts)
+        pv = PiecewiseLinear(grid=grid, values=nodal[k]).evaluate(ts)
         sem = holder.pairwise_seminorm(ts, pv, gamma)
         if sem > bounds[k]:
             raise RuntimeError(
@@ -243,7 +252,10 @@ def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float) -> li
 
     Rough test functions for empirical projector-norm studies; the
     high-frequency sine keeps the seminorm away from the endpoint pair so
-    projection actually gets stressed.
+    projection actually gets stressed. Each bump is computed in place in
+    one buffer per call, by the formula's operations in its order, so on
+    an array t the values are the plain expression's; a scalar t gives the
+    value the one-point array gives.
     """
     from .functions import FunctionHandle
 
@@ -256,13 +268,20 @@ def random_cusp_trials(rng: np.random.Generator, count: int, gamma: float) -> li
         slope = rng.uniform(-1.0, 1.0)
         wave_amp = rng.uniform(-0.5, 0.5)
         freq = int(rng.integers(1, 24))
+        bumps = tuple(zip(amps.tolist(), centers.tolist(), radii.tolist()))
 
-        def f(t, amps=amps, centers=centers, radii=radii, slope=slope,
-              wave_amp=wave_amp, freq=freq):
+        def f(t, bumps=bumps, slope=slope, wave_amp=wave_amp, freq=freq):
             t = np.asarray(t, dtype=float)
             out = slope * t + wave_amp * np.sin(np.pi * freq * t)
-            for a, c, r in zip(amps, centers, radii):
-                out = out + a * np.clip(r - np.abs(t - c), 0.0, None) ** gamma
+            x = np.empty(t.shape)
+            for a, c, r in bumps:
+                np.subtract(t, c, out=x)
+                np.abs(x, out=x)
+                np.subtract(r, x, out=x)
+                np.maximum(x, 0.0, out=x)  # np.clip(x, 0.0, None)
+                x **= gamma  # the operator keeps numpy's sqrt at gamma = 0.5
+                x *= a
+                out += x
             return out
 
         trials.append(FunctionHandle(eval=f, label=f"cusp-trial-{k}"))

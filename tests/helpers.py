@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from nfeq import holder
+from nfeq import grids, holder
 from nfeq.functions import DomainError, FunctionHandle, eval_on
 from nfeq.grids import locate, project
 
@@ -185,6 +185,34 @@ def projector_norm_reference(gamma, grid, trials, m=holder.DEFAULT_SAMPLES):
     if used == 0:
         raise ValueError("all trial functions had zero sampled norm")
     return best
+
+
+def plain_cusp_trials(rng: np.random.Generator, count: int, gamma: float) -> list:
+    """The draws of ``grids.random_cusp_trials``, each bump the plain expression.
+
+    The reference for its closures, which compute each bump in place: here
+    every bump is a * clip(r - |t - c|, 0, None) ** gamma in fresh arrays.
+    """
+    trials = []
+    for _ in range(count):
+        nb = int(rng.integers(1, grids.MAX_CUSP_BUMPS + 1))
+        amps = rng.uniform(-2.0, 2.0, size=nb)
+        centers = rng.uniform(0.0, 1.0, size=nb)
+        radii = rng.uniform(0.05, 0.5, size=nb)
+        slope = rng.uniform(-1.0, 1.0)
+        wave_amp = rng.uniform(-0.5, 0.5)
+        freq = int(rng.integers(1, 24))
+
+        def f(t, amps=amps, centers=centers, radii=radii, slope=slope,
+              wave_amp=wave_amp, freq=freq):
+            t = np.asarray(t, dtype=float)
+            out = slope * t + wave_amp * np.sin(np.pi * freq * t)
+            for a, c, r in zip(amps, centers, radii):
+                out = out + a * np.clip(r - np.abs(t - c), 0.0, None) ** gamma
+            return out
+
+        trials.append(f)
+    return trials
 
 
 def fancy_index_product(beta, t, tol=1e-16):

@@ -512,6 +512,38 @@ def test_sweep_calls_the_kernel_without_importing():
     assert not ops & {"IMPORT_NAME", "IMPORT_FROM"}
 
 
+def test_kernel_without_extension_file_imports_through_scipy_sparse(monkeypatch):
+    # where the file finder finds no extension, load_sparse imports the
+    # kernel module through the package with one warning naming the
+    # directory searched, and the sweep solves as before
+    p = _cusp_problem()
+    expected = collocation.solve_collocation(p, 64)
+
+    class NoExtension:
+        def __init__(self, path, *loader_details):
+            pass
+
+        def find_spec(self, fullname, target=None):
+            return None
+
+    monkeypatch.setattr(collocation, "FileFinder", NoExtension)
+    monkeypatch.delitem(sys.modules, collocation.KERNEL_MODULE)
+    # the package import rebinds these two: restore them after the test
+    monkeypatch.setattr(collocation, "csr_matvec", collocation.csr_matvec)
+    monkeypatch.setattr(sparse, "_sparsetools", _sparsetools)
+    with pytest.warns(RuntimeWarning) as record:
+        sol = collocation.solve_collocation(p, 64)
+    assert len(record) == 1
+    where = os.path.dirname(sparse.__file__)
+    assert str(record[0].message) == (f"no {collocation.KERNEL_MODULE} extension in "
+                                      f"{where}: importing it through scipy.sparse")
+    assert collocation.KERNEL_MODULE in sys.modules
+    assert sol.stats.solver == "sweep"
+    assert sol.stats.sweeps == expected.stats.sweeps
+    assert sol.condition == expected.condition
+    assert np.array_equal(sol.solution.values, expected.solution.values)
+
+
 def test_sweep_allocates_nothing_of_iterate_size():
     # a sweep that allocated B x (8 (N - 1) bytes) would reach the bound
     n = 2 ** 14 + 1

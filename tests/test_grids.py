@@ -7,7 +7,7 @@ from nfeq import grids
 from nfeq.functions import CLAMP_TOL, EvaluationError, FunctionHandle, constant, identity
 from nfeq.oracles import cusp_solution
 
-from helpers import poly_handle, projector_norm_reference
+from helpers import plain_cusp_trials, poly_handle, projector_norm_reference
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,71 @@ def test_projector_norm_unsound_bound_raises(monkeypatch):
     trials = grids.random_cusp_trials(np.random.default_rng(42), 10, 0.5)
     with pytest.raises(RuntimeError, match="above its node-pair bound"):
         grids.measure_projector_norm(0.5, grids.UniformGrid(8), trials)
+
+
+def _counted(trials):
+    """The trials, each wrapped to append its index to the list returned."""
+    calls = []
+
+    def wrap(k, f):
+        def g(t):
+            calls.append(k)
+            return f(t)
+        return FunctionHandle(eval=g, label=f.label)
+
+    return [wrap(k, f) for k, f in enumerate(trials)], calls
+
+
+@pytest.mark.parametrize("m", [513, 9])  # pruned; N + 1 >= m scans every projection
+def test_projector_norm_evaluates_each_trial_once(m):
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 50, 0.5)
+    counted, calls = _counted(trials)
+    grid = grids.UniformGrid(8)
+    ratio = grids.measure_projector_norm(0.5, grid, counted, m=m)
+    assert calls == list(range(50))
+    assert ratio == projector_norm_reference(0.5, grid, trials, m=m)
+
+
+def _nan_at(label, bad):
+    """A smooth trial that is NaN where ``bad(t)`` holds."""
+    return FunctionHandle(eval=lambda t: np.where(bad(np.asarray(t)), np.nan, np.sin(t)),
+                          label=label)
+
+
+_NODE_3_OF_7 = float(grids.UniformGrid(7).nodes[3])  # 3/7 is no sample i/512
+
+
+@pytest.mark.parametrize("bad_trials, message", [
+    ([_nan_at("node", lambda t: t == _NODE_3_OF_7)],
+     f"'node' evaluated to nan at t={_NODE_3_OF_7!r} (grid node 3)"),
+    ([_nan_at("sample", lambda t: t >= 0.5)], "'sample' evaluated to nan at t=0.5"),
+    ([_nan_at("node", lambda t: t == _NODE_3_OF_7), _nan_at("sample", lambda t: t >= 0.5)],
+     f"'node' evaluated to nan at t={_NODE_3_OF_7!r} (grid node 3)"),
+], ids=["node", "sample", "first-trial"])
+def test_projector_norm_non_finite_trial_errors(bad_trials, message):
+    # trial after trial, a bad sample raises as the samples alone do, and a
+    # bad node only as projection does, with its node
+    trials = [*grids.random_cusp_trials(np.random.default_rng(42), 3, 0.5), *bad_trials]
+    grid = grids.UniformGrid(7)
+    with pytest.raises(EvaluationError) as exc:
+        grids.measure_projector_norm(0.5, grid, trials, m=513)
+    with pytest.raises(EvaluationError) as ref:
+        projector_norm_reference(0.5, grid, trials, m=513)
+    assert str(exc.value) == str(ref.value) == message
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_cusp_trials_match_plain_expression(gamma):
+    trials = grids.random_cusp_trials(np.random.default_rng(11), 50, gamma)
+    plain = plain_cusp_trials(np.random.default_rng(11), 50, gamma)
+    inputs = [grids.holder.uniform_samples(513), grids.UniformGrid(7).nodes,
+              grids.UniformGrid(8).nodes, (np.arange(4097) + 0.5) / 4097]
+    for f, ref in zip(trials, plain):
+        for t in (0.0, 0.3, 0.5, 1.0):  # a scalar gives the one-point array's value
+            out = f(t)
+            assert np.ndim(out) == 0 and out == f(np.array([t]))[0]
+        for ts in inputs:
+            assert np.array_equal(f(ts), ref(ts))
 
 
 @settings(max_examples=200, deadline=None)

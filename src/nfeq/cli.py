@@ -189,9 +189,21 @@ def _build_problem(args):
     return _custom_problem(args), None, None
 
 
+def _notice_regime(args, spec, norms) -> None:
+    """One stderr line when the computed run lies outside the paper's
+    sufficient condition for collocation convergence; it is not an error."""
+    cert = problem.certify(spec, m=args.samples, overrides=norms)
+    if not cert.satisfies_collocation:
+        print(f"notice: lipschitz_factor={cert.lipschitz_factor:.6g} >= "
+              f"collocation_threshold={cert.collocation_threshold:.6g}: outside the "
+              "paper's sufficient condition for collocation convergence"
+              + (" (sampled norms)" if norms is None else ""), file=sys.stderr)
+
+
 def _cmd_solve(args) -> int:
-    spec, exact, _ = _build_problem(args)
+    spec, exact, norms = _build_problem(args)
     sol = collocation.solve_collocation(spec, args.n)
+    _notice_regime(args, spec, norms)
     res = problem.residual(spec, sol.solution, min(args.samples, 4097))
     print(f"solved N={args.n} residual={res:.3e} condition={sol.condition:.6g}")
     if args.stats:
@@ -237,11 +249,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    spec, _, _ = _build_problem(args)
+    spec, _, norms = _build_problem(args)
     problem.validate(spec, args.samples)
     grid = grids.UniformGrid(args.n)
     f0 = picard.initial_iterate(spec, grid)
     trace = picard.picard_grid(spec, grid, f0, tol=args.tol, max_iter=args.max_iter)
+    _notice_regime(args, spec, norms)
     tail = trace.contraction_ratios[-1] if trace.contraction_ratios else float("nan")
     print(f"iterations={len(trace.increments)} converged={trace.converged} "
           f"final_increment={trace.increments[-1]:.3e} last_ratio={tail:.4f}")
@@ -263,7 +276,7 @@ def _ladder(nmin: int, nmax: int) -> list[int]:
 
 
 def _cmd_study(args) -> int:
-    spec, exact, _ = _build_problem(args)
+    spec, exact, norms = _build_problem(args)
     smoothness_k = args.smoothness_k
     if args.problem != "cusp":
         if args.target:
@@ -284,6 +297,7 @@ def _cmd_study(args) -> int:
                              m=args.error_samples, fit_min_n=args.fit_min_n,
                              smoothness_k=smoothness_k,
                              label=f"{args.problem} gamma={args.gamma:g}")
+    _notice_regime(args, spec, norms)
     for r in report.ladder:
         print(f"N={r.n:6d} h={r.h:.6g} error={r.sup_error:.6e} runtime={r.runtime:.3g}s")
     print(study.summary_line(report))

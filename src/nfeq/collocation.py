@@ -311,9 +311,17 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     The certified sweep solves it when it stops within MAX_SWEEPS;
     otherwise one SuperLU factor of the system built from the same B serves
     the solve and ||A^-1||_inf = max(A^-1 1). The condition is ||A||_inf
-    times the sweep's bound or that exact value.
+    times the sweep's bound or that exact value. Each call validates p and
+    then runs ``_solve``.
     """
     validate(p)
+    return _solve(p, n)
+
+
+def _solve(p: ProblemSpec, n: int) -> CollocationSolution:
+    """``solve_collocation`` after validation: p must have passed
+    ``validate``, whose checks do not depend on n. ``delay_map`` still
+    checks the coefficients at this grid's own nodes."""
     grid = UniformGrid(n)
     load_sparse()  # the first solve in a process pays it, untimed
     t0 = time.perf_counter()

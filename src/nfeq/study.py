@@ -8,11 +8,11 @@ from typing import Optional
 
 import numpy as np
 
-from .collocation import CollocationError, load_sparse, solve_collocation
+from .collocation import CollocationError, _solve, load_sparse
 from .functions import FunctionHandle, eval_on
 from .grids import write_table
 from .oracles import ManufacturedProblem
-from .problem import ProblemSpec
+from .problem import ProblemSpec, validate
 
 #: default number of sup-error sample points
 DEFAULT_ERROR_SAMPLES = 4097
@@ -36,6 +36,9 @@ def error_sample_points(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LadderRung:
+    """``runtime`` times the rung's solve and sup error; the one-time loads
+    and the problem's validation run before the first rung's clock."""
+
     n: int
     h: float
     sup_error: float
@@ -76,6 +79,8 @@ def run_study(problem, exact: FunctionHandle | None = None,
     ``problem`` may be a ProblemSpec (with ``exact`` supplied) or a
     ManufacturedProblem (its own exact solution is used). A solver failure
     on a rung leaves a partial ladder with the failure recorded.
+    The problem is validated once, before any rung runs: each rung calls
+    ``collocation._solve``, which requires a validated problem.
     """
     if isinstance(problem, ManufacturedProblem):
         spec = problem.problem
@@ -99,10 +104,11 @@ def run_study(problem, exact: FunctionHandle | None = None,
     notes: list[str] = []
     failure = None
     load_sparse()  # the first solve's import stays out of every rung's runtime
+    validate(spec)  # depends on no N, so once for every rung
     for n in ladder:
         t0 = time.perf_counter()
         try:
-            sol = solve_collocation(spec, n)
+            sol = _solve(spec, n)
         except CollocationError as exc:
             failure = f"N={n}: {exc}"
             break

@@ -33,13 +33,13 @@ def test_certify_prints_every_field_in_order(capsys):
                    "satisfies_collocation=True\nrigorous=True\n")
 
 
-def tabulated_problem_args(tmp_path):
-    """--problem custom flags for phi = t, phi1 = 1, phi2 = 0.2 t tabulated at N = 64."""
+def tabulated_problem_args(tmp_path, beta=0.2):
+    """--problem custom flags for phi = t, phi1 = 1, phi2 = beta t tabulated at N = 64."""
     g = grids.UniformGrid(64)
     handles = {
         "phi": FunctionHandle(eval=lambda t: np.asarray(t, dtype=float)),
         "phi1": FunctionHandle(eval=lambda t: np.ones_like(np.asarray(t, float))),
-        "phi2": FunctionHandle(eval=lambda t: 0.2 * np.asarray(t, dtype=float)),
+        "phi2": FunctionHandle(eval=lambda t: beta * np.asarray(t, dtype=float)),
     }
     args = ["--problem", "custom", "--gamma", "1"]
     for name, h in handles.items():
@@ -339,6 +339,60 @@ def test_custom_problem_missing_tables(capsys):
     code, _, err = run(["solve", "--problem", "custom"], capsys)
     assert code == 1
     assert "missing" in err
+
+
+# ---------------------------------------------------------------------------
+# out-of-regime notice
+# ---------------------------------------------------------------------------
+
+NOTICE = ("notice: lipschitz_factor={} >= collocation_threshold=0.5: outside the "
+          "paper's sufficient condition for collocation convergence{}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["picard"],
+    ["study", "--target", "smooth_parabola", "--nmin", "16", "--nmax", "128"],
+])
+def test_default_problem_prints_regime_notice(argv, capsys):
+    # the default paradise(0.05, 0.2) has L = 0.5, on the threshold itself
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out != ""
+    assert err == NOTICE.format("0.5", "")
+
+
+def test_regime_notice_follows_a_nonconverged_picard(capsys):
+    with pytest.warns(UserWarning):
+        code, _, err = run(["picard", "--n", "32", "--tol", "1e-15", "--max-iter", "1"],
+                           capsys)
+    assert code == 2
+    assert err == NOTICE.format("0.5", "")
+
+
+@pytest.mark.parametrize("problem_args", [
+    ["--problem", "cusp"],
+    ["--problem", "paradise", "--alpha", "0", "--beta", "0.2"],
+])
+@pytest.mark.parametrize("command", ["solve", "picard", "study"])
+def test_in_regime_runs_print_no_notice(command, problem_args, capsys):
+    argv = [command] + problem_args
+    if command == "study":
+        argv += ["--nmin", "16", "--nmax", "128"]
+        if "paradise" in problem_args:
+            argv += ["--oracle", "product"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out != ""
+    assert err == ""
+
+
+def test_custom_problem_notice_says_norms_are_sampled(tmp_path, capsys):
+    code, out, err = run(["solve"] + tabulated_problem_args(tmp_path, beta=0.6)
+                         + ["--n", "16"], capsys)
+    assert code == 0 and "solved N=16" in out
+    assert err == NOTICE.format("1.2", " (sampled norms)")
+    code, _, err = run(["solve"] + tabulated_problem_args(tmp_path) + ["--n", "16"],
+                       capsys)
+    assert code == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------

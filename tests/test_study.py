@@ -1,12 +1,16 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nfeq import problem, study
-from nfeq.functions import constant, identity
-from nfeq.oracles import cusp_solution, manufacture, smooth_parabola
+from nfeq import collocation, problem, study
+from nfeq.functions import EvaluationError, FunctionHandle, constant, eval_on, identity
+from nfeq.oracles import cusp_solution, manufacture, product_solution, smooth_parabola
+
+#: the refinement ladder of criteria 1-2 and of the study-ladder workload
+LADDER = [2 ** k for k in range(4, 11)]
 
 
 def smooth_manufactured():
@@ -55,6 +59,76 @@ def test_fit_order_excludes_nonpositive():
         study.fit_order([(0.1, 0.0), (0.01, -1.0)])
     slope, _ = study.fit_order([(0.1, 0.0), (0.5, 0.25), (0.25, 0.0625)])
     assert slope == pytest.approx(2.0, abs=1e-12)
+
+
+def cusp_manufactured():
+    base = problem.section5(0.02, 0.5)
+    return manufacture(cusp_solution(0.5), base.phi, base.phi1, base.phi2, 0.5,
+                       description="cusp gamma=0.5")
+
+
+def count_validate(monkeypatch) -> list:
+    """Counts ``validate`` calls through the names study and collocation use."""
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return problem.validate(p, *args, **kwargs)
+
+    monkeypatch.setattr(study, "validate", counted)
+    monkeypatch.setattr(collocation, "validate", counted)
+    return calls
+
+
+def test_run_study_validates_once(monkeypatch):
+    calls = count_validate(monkeypatch)
+    manu = cusp_manufactured()
+    report = study.run_study(manu, n_ladder=LADDER)
+    assert len(report.ladder) == 7 and report.failure is None
+    assert calls == [manu.problem]
+
+
+def test_solve_collocation_validates_every_call(monkeypatch):
+    calls = count_validate(monkeypatch)
+    spec = cusp_manufactured().problem
+    for n in (16, 32):
+        collocation.solve_collocation(spec, n)
+    assert calls == [spec, spec]
+
+
+@pytest.mark.parametrize("case", ["cusp", "product"])
+def test_run_study_rungs_equal_solve_collocation(case):
+    if case == "cusp":
+        manu = cusp_manufactured()
+        spec, exact = manu.problem, manu.exact
+    else:
+        spec, exact = problem.paradise_fish(0.0, 0.2), product_solution(0.2)
+    report = study.run_study(spec, exact=exact, n_ladder=LADDER)
+    ts = study.error_sample_points(study.DEFAULT_ERROR_SAMPLES)
+    exact_vals = eval_on(exact, ts)
+    expected = [float(np.abs(collocation.solve_collocation(spec, n).solution.evaluate(ts)
+                             - exact_vals).max()) for n in LADDER]
+    assert [r.n for r in report.ladder] == LADDER
+    assert [r.sup_error for r in report.ladder] == expected
+
+
+def test_run_study_refuses_invalid_problem_before_any_rung(monkeypatch):
+    solved = []
+    monkeypatch.setattr(study, "_solve", lambda p, n: solved.append(n))
+    spec = replace(problem.paradise_fish(0.0, 0.2), phi=constant(1.5))
+    with pytest.raises(problem.ProblemValidationError) as info:
+        study.run_study(spec, exact=product_solution(0.2), n_ladder=LADDER)
+    assert str(info.value) == "invalid problem: phi(0.0) = 1.5 outside [0,1]"
+    assert solved == []
+
+
+def test_run_study_evaluates_exact_before_validation(monkeypatch):
+    calls = count_validate(monkeypatch)
+    nan = FunctionHandle(eval=lambda t: np.full_like(np.asarray(t, float), np.nan),
+                         label="nan")
+    with pytest.raises(EvaluationError):
+        study.run_study(problem.paradise_fish(0.0, 0.2), exact=nan, n_ladder=LADDER)
+    assert calls == []
 
 
 def test_run_study_smooth_problem():

@@ -114,6 +114,9 @@ class AssemblyStats:
     sweeps: int
     #: "sweep" or "superlu": the path that solved the system
     solver: str
+    #: seconds spent importing ``nfeq.linalg`` (the first fallback in a
+    #: process pays it), in neither timer; 0.0 when nothing loaded
+    import_time: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,6 +321,16 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     return _solve(p, n)
 
 
+def _load_linalg():
+    """``nfeq.linalg`` and the seconds its import took: 0.0 when it was loaded."""
+    name = f"{__package__}.linalg"
+    if name in sys.modules:
+        return sys.modules[name], 0.0
+    t0 = time.perf_counter()
+    module = importlib.import_module(name)
+    return module, time.perf_counter() - t0
+
+
 def _solve(p: ProblemSpec, n: int) -> CollocationSolution:
     """``solve_collocation`` after validation: p must have passed
     ``validate``, whose checks do not depend on n. ``delay_map`` still
@@ -330,10 +343,10 @@ def _solve(p: ProblemSpec, n: int) -> CollocationSolution:
     values, bound, sweeps = _certified_sweeps(p, b, k)
     t2 = time.perf_counter()
     if values is not None:
-        nonzeros, solver = b.nnz, "sweep"
+        nonzeros, solver, import_time = b.nnz, "sweep", 0.0
         assembly_time, solve_time = t1 - t0, t2 - t1
     else:
-        from . import linalg  # loads scipy.linalg: only a fallback pays, untimed
+        linalg, import_time = _load_linalg()  # only a fallback pays, untimed
         t3 = time.perf_counter()
         a, rhs = _interior_system(p, b, k)
         t4 = time.perf_counter()
@@ -362,6 +375,7 @@ def _solve(p: ProblemSpec, n: int) -> CollocationSolution:
             f"interior collocation residual {defect:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
     stats = AssemblyStats(nonzeros=int(nonzeros), assembly_time=assembly_time,
-                          solve_time=solve_time, sweeps=sweeps, solver=solver)
+                          solve_time=solve_time, sweeps=sweeps, solver=solver,
+                          import_time=import_time)
     return CollocationSolution(solution=solution, grid=grid,
                                condition=condition, stats=stats)

@@ -61,8 +61,12 @@ largest adjacent slope is the pair maximum in exact arithmetic (in floats
 it is never above the pair scan, whose own adjacent quotients it is, by
 ``_adjacent_quotients``, and within a few ulps of it). The projector-norm study
 (``grids.measure_projector_norm``) bounds a piecewise-linear function's
-sampled seminorm by its node-pair seminorm and scans a projection only when
-that bound could raise the maximum. Checks report (lhs, rhs, margin)
+sampled seminorm by its node-pair seminorm, and a trial's norm from below
+by ``_stride_seminorms``, the scan's own quotients over pairs a power of
+two apart (``_adjacent_quotients`` at strides 1, 2, 4, ...). Their quotient
+U_k bounds the trial's ratio, so the study takes exact norms and scans
+projections only for trials with U_k above the running maximum: rounding
+is monotone, so the others cannot raise it. Checks report (lhs, rhs, margin)
 instead of a bare boolean so near-equality cases stay diagnosable.
 """
 from __future__ import annotations
@@ -113,9 +117,27 @@ def _divide(dv: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return dv
 
 
-def _adjacent_quotients(t: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
-    """|v_{i+1} - v_i| / |t_{i+1} - t_i|^gamma per function, as the pair scan takes them."""
-    return _divide(v[:, 1:] - v[:, :-1], _pair_distances(t[1:] - t[:-1], gamma))
+def _adjacent_quotients(t: np.ndarray, v: np.ndarray, gamma: float,
+                        stride: int = 1) -> np.ndarray:
+    """|v_{i+s} - v_i| / |t_{i+s} - t_i|^gamma per function for stride s,
+    as the pair scan takes them."""
+    return _divide(v[:, stride:] - v[:, :-stride],
+                   _pair_distances(t[stride:] - t[:-stride], gamma))
+
+
+def _stride_seminorms(ts: np.ndarray, vals: np.ndarray, gamma: float) -> np.ndarray:
+    """Per row of vals (K, m), the largest quotient over sample pairs whose
+    indices are a power of two apart: a lower bound on ``pairwise_seminorm``.
+
+    Every quotient is one of the pair scan's own, by its float steps, so
+    the bound is never above the pair scan's maximum, bit for bit.
+    """
+    best = np.zeros(vals.shape[0])
+    stride = 1
+    while stride < ts.size:
+        np.maximum(best, _adjacent_quotients(ts, vals, gamma, stride).max(axis=1), out=best)
+        stride *= 2
+    return best
 
 
 def _allow(bound: np.ndarray) -> np.ndarray:

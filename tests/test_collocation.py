@@ -764,6 +764,7 @@ sys.meta_path.insert(0, SlowLinalg())
 stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.8), 1024).stats
 assert stats.solver == "superlu", stats
 assert stats.assembly_time + stats.solve_time < 0.25, stats
+assert stats.import_time >= 0.5, stats
 """
 
 
@@ -771,6 +772,25 @@ def test_fallback_import_is_not_timed():
     # a 0.5 s import of nfeq.linalg in a fresh interpreter must show in
     # neither stats timer
     run_fresh(SLOW_LINALG_IMPORT)
+
+
+SLOW_LINALG_STUDY = SLOW_LINALG_IMPORT.split("stats = ")[0] + """
+from nfeq import study
+from nfeq.oracles import manufacture, smooth_parabola
+
+base = problem.paradise_fish(0.9, 0.9)
+parabola = manufacture(smooth_parabola(), base.phi, base.phi1, base.phi2, base.gamma)
+rung = study.run_study(parabola, n_ladder=[16, 32, 64, 128]).ladder[0]
+assert rung.runtime < 0.25, rung
+stats = collocation.solve_collocation(parabola.problem, 16).stats
+assert stats.solver == "superlu" and stats.import_time == 0.0, stats
+"""
+
+
+def test_fallback_import_is_not_in_rung_runtime():
+    # the first rung of this study is the process's first SuperLU fallback:
+    # its 0.5 s import of nfeq.linalg must not show in the rung's runtime
+    run_fresh(SLOW_LINALG_STUDY)
 
 
 SLOW_KERNEL_LOAD = """

@@ -301,6 +301,31 @@ def test_projector_norm_scans_only_projections_that_can_win(monkeypatch):
     assert len(scans) == 50
 
 
+def test_projector_norm_takes_exact_norms_only_of_trials_that_can_win(monkeypatch):
+    rows = []
+    scan = grids.holder.pairwise_seminorm
+
+    def counted(ts, vals, gamma):
+        if np.ndim(vals) == 2 and len(ts) == 513:  # a batch of trials' exact norms
+            rows.append(len(vals))
+        return scan(ts, vals, gamma)
+
+    monkeypatch.setattr(grids.holder, "pairwise_seminorm", counted)
+    grid = grids.UniformGrid(8)
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 50, 0.5)
+    grids.measure_projector_norm(0.5, grid, trials)
+    assert 1 <= sum(rows) <= 10  # of 50 trials
+    # the workload's trial sets: some take a second batch, all match
+    batches = []
+    for seed in range(1, 13):
+        trials = grids.random_cusp_trials(np.random.default_rng(seed), 50, 0.5)
+        rows.clear()
+        ratio = grids.measure_projector_norm(0.5, grid, trials)
+        batches.append(len(rows))
+        assert ratio == projector_norm_reference(0.5, grid, trials)
+    assert min(batches) == 1 and max(batches) == 2
+
+
 def test_projector_norm_unsound_bound_raises(monkeypatch):
     bounds = grids.node_pair_bounds
     monkeypatch.setattr(grids, "node_pair_bounds",

@@ -339,6 +339,24 @@ def test_lipschitz_norms_adjacent_within_ulps_of_pair_scan(data, m, scale):
     assert adjacent <= pair <= adjacent * (1.0 + 1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 513]),
+       gamma=st.sampled_from([0.25, 0.5, 1.0]))
+def test_stride_seminorms_never_exceed_pair_scan(data, m, gamma):
+    # the projector study prunes on this lower bound: each stride quotient is
+    # one of the pair scan's own, so it holds in floats, subnormal rounding
+    # and the ties of affine data at gamma = 1 included
+    ts = holder.uniform_samples(m)
+    k = data.draw(st.integers(1, 4), label="K")
+    rows = np.stack([np.zeros(m), *(_sample_row(data, ts, f"row {i}") for i in range(k))])
+    lower = holder._stride_seminorms(ts, rows, gamma)
+    exact = holder.pairwise_seminorm(ts, rows, gamma)
+    assert lower.shape == (k + 1,) and lower[0] == 0.0
+    assert np.all(lower <= exact)
+    if m <= 3:  # every pair is a power of two apart
+        assert np.array_equal(lower, exact)
+
+
 # ---------------------------------------------------------------------------
 # inequality checks
 # ---------------------------------------------------------------------------

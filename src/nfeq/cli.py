@@ -200,8 +200,16 @@ def _notice_regime(args, spec, norms) -> None:
               + (" (sampled norms)" if norms is None else ""), file=sys.stderr)
 
 
+def _check_product_oracle(args) -> None:
+    if args.problem != "paradise" or args.alpha != 0.0:
+        raise ValueError("the product oracle is exact only for the "
+                         "paradise family with alpha = 0")
+
+
 def _cmd_solve(args) -> int:
     spec, exact, norms = _build_problem(args)
+    if args.oracle == "product":
+        _check_product_oracle(args)
     sol = collocation.solve_collocation(spec, args.n)
     _notice_regime(args, spec, norms)
     res = problem.residual(spec, sol.solution, min(args.samples, 4097))
@@ -286,9 +294,7 @@ def _cmd_study(args) -> int:
                                description=f"{args.target} on {args.problem}")
             spec, exact = manu.problem, manu.exact
         elif args.oracle == "product":
-            if args.problem != "paradise" or args.alpha != 0.0:
-                raise ValueError("the product oracle is exact only for the "
-                                 "paradise family with alpha = 0")
+            _check_product_oracle(args)
             exact = oracle_by_name("product", beta=args.beta)
         else:
             raise ValueError("study needs an exact solution: use --problem cusp, "

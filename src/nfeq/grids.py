@@ -129,8 +129,7 @@ def project(f, grid: UniformGrid) -> PiecewiseLinear:
 
 def sup_error_bound(norm_kgamma: float, gamma: float, k: int, h: float) -> float:
     """Certified sup-norm interpolation error bound 2^(-gamma-(2-gamma)k) h^(k+gamma) ||u||_{k,gamma}."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    holder.check_gamma(gamma)
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
     if h <= 0.0:
@@ -207,7 +206,7 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
     sampled seminorm is at most its ``node_pair_bounds`` entry, and its
     norm at least L_k, |f(0)| plus the largest quotient over sample pairs a
     power of two apart (pairs of the scan's own, so L_k <= ||f|| in floats;
-    it is 0 only for an all-zero trial, whose norm is taken up front). So
+    it is 0 only for an all-zero trial, which is skipped with a warning). So
     its ratio is at most U_k = (|v_0| + bound) / L_k. Exact norms are taken
     in batches, one pair scan each: first the FIRST_NORM_BATCH trials of
     highest U_k, then all the others whose U_k is above the running
@@ -219,6 +218,7 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
     inf and every trial is scanned. A scanned projection above its bound
     raises RuntimeError: an unsound bound never prunes silently.
     """
+    holder.check_gamma(gamma)
     trials = list(trial_functions)
     if not trials:
         raise ValueError("trial set must be nonempty")
@@ -234,13 +234,12 @@ def measure_projector_norm(gamma: float, grid: UniformGrid, trial_functions,
             raise
     vals = sampled[:, :m]
     heads = np.abs(vals[:, 0])
-    # lower[k] <= ||f_k||: the all-zero trials, where it is 0, get the norm
+    # lower[k] <= ||f_k|| is 0 only if every sample is 0 (adjacent quotients are
+    # stride ones, uniform spacing >> MIN_PAIR_SEPARATION, and a nonzero difference
+    # over dt**gamma <= 1 never rounds to 0), so a pair scan could only confirm it
     lower = heads + holder._stride_seminorms(ts, vals, gamma)
-    zero = np.flatnonzero(lower <= 0.0)
-    if zero.size:
-        lower[zero] = heads[zero] + holder.pairwise_seminorm(ts, vals[zero], gamma)
-        for i in zero[lower[zero] <= 0.0]:
-            warnings.warn(f"skipping zero-norm trial {getattr(trials[i], 'label', trials[i])!r}")
+    for i in np.flatnonzero(lower <= 0.0):
+        warnings.warn(f"skipping zero-norm trial {getattr(trials[i], 'label', trials[i])!r}")
     live = np.flatnonzero(lower > 0.0)
     if live.size == 0:
         raise ValueError("all trial functions had zero sampled norm")

@@ -322,14 +322,16 @@ def _report(name: str, lhs: float, rhs: float, slack: float = 0.0) -> CheckRepor
     return CheckReport(name, lhs, rhs, rhs - lhs, bool(lhs <= rhs + slack))
 
 
-def _check_gamma(gamma: float) -> None:
+def check_gamma(gamma: float) -> None:
+    """The one Hoelder-exponent check, shared by every entry that refuses an
+    exponent: gamma must lie in (0, 1], and NaN does not."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
 def estimate_hoelder_norm(f, gamma: float, m: int = DEFAULT_SAMPLES) -> HoelderEstimate:
     """|f(0)| plus the pairwise difference-quotient maximum on m uniform samples."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     ts = uniform_samples(m)
     vals = eval_on(f, ts)
     sem = pairwise_seminorm(ts, vals, gamma)
@@ -386,7 +388,7 @@ def check_product_bound(f, g, gamma: float, m: int = DEFAULT_SAMPLES,
     plus sampled seminorm); rhs is the sup/seminorm cross bound plus the
     same boundary term.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     ts = uniform_samples(m)
     fv = eval_on(f, ts)
     gv = eval_on(g, ts)
@@ -413,7 +415,7 @@ def check_composition_bound(f, phi, gamma: float, m: int = DEFAULT_SAMPLES,
     image phi(grid) so every sampled quotient is covered by the sampled sup.
     phi's samples pass ``clamp_unit``: one beyond CLAMP_TOL raises DomainError.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     ts = uniform_samples(m)
     phis = clamp_unit(eval_on(phi, ts))
 

@@ -179,8 +179,7 @@ def check_corollary_conditions(alpha: float, beta: float, gamma: float) -> Corol
     (a) alpha^gamma + beta^gamma < 1/2 and (b) 0 < beta < 4^(-1/gamma),
     plus the implication (b) => (a) under alpha <= beta.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    holder.check_gamma(gamma)
     if not 0.0 < alpha <= beta <= 1.0:
         raise ValueError(f"need 0 < alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
     a_value = alpha ** gamma + beta ** gamma
@@ -239,27 +238,18 @@ def paradise_fish_norms(alpha: float, beta: float) -> NormOverrides:
 
 
 def section5(alpha: float, gamma: float) -> ProblemSpec:
-    """Affine family phi=t, phi1 = 1 - (alpha/2)(1-t), phi2 = (alpha/2) t."""
-    half = alpha / 2.0
-    phi1 = FunctionHandle(
-        eval=lambda t: 1.0 - half * (1.0 - np.asarray(t, dtype=float)),
-        label=f"1-{half:g}*(1-t)")
-    phi2 = FunctionHandle(
-        eval=lambda t: half * np.asarray(t, dtype=float),
-        label=f"{half:g}*t")
-    return ProblemSpec(phi=identity("t"), phi1=phi1, phi2=phi2,
-                       source=constant(0.0, "0"),
-                       boundary_left=0.0, boundary_right=1.0, gamma=gamma)
+    """The paper's affine example, phi1 = 1 - (alpha/2)(1 - t) and phi2 =
+    (alpha/2) t: the two-rate family at alpha = beta = alpha/2."""
+    return paradise_fish(alpha / 2.0, alpha / 2.0, gamma)
 
 
 def section5_norms(alpha: float) -> NormOverrides:
-    return NormOverrides(norm_phi_gamma=1.0, norm_phi1_lip=1.0,
-                         norm_phi2_lip=alpha / 2.0, phi1_at_zero=1.0 - alpha / 2.0)
+    """section5's exact norms: the two-rate family's at alpha = beta = alpha/2."""
+    return paradise_fish_norms(alpha / 2.0, alpha / 2.0)
 
 
 def section5_alpha_bound(gamma: float) -> float:
     """Largest alpha keeping the affine family inside the collocation
     convergence hypothesis: 2^(2-gamma) alpha^gamma < (1+2^(1-gamma))^(-1)."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    holder.check_gamma(gamma)
     return (2.0 ** (gamma - 2.0) / (1.0 + 2.0 ** (1.0 - gamma))) ** (1.0 / gamma)

@@ -133,6 +133,16 @@ def test_solve_with_product_oracle(capsys):
     assert dev <= 1e-3
 
 
+def test_solve_product_oracle_requires_alpha_zero(capsys):
+    # product(beta) solves the paradise family only at alpha = 0: no deviation
+    # against it is printed for alpha = 0.05, and nothing is solved first
+    code, out, err = run(["solve", "--problem", "paradise", "--alpha", "0.05",
+                          "--oracle", "product"], capsys)
+    assert code == 1
+    assert "alpha = 0" in err
+    assert out == ""
+
+
 def test_solve_large_n_stats(capsys):
     n = 65536
     code, out, _ = run(["solve", "--problem", "cusp", "--gamma", "0.5",

@@ -243,6 +243,25 @@ def test_projector_norm_matches_per_trial_loop(gamma):
     assert "zero-a" in str(batched[0].message) and "zero-b" in str(batched[1].message)
 
 
+def test_projector_norm_scans_no_zero_norm_trial(monkeypatch):
+    # a zero stride bound already proves a trial all zero: it is warned about
+    # and dropped without an exact pair scan of its samples
+    scanned = []
+    scan = grids.holder.pairwise_seminorm
+
+    def counted(ts, vals, gamma):
+        if np.ndim(vals) == 2:
+            scanned.extend(not row.any() for row in vals)
+        return scan(ts, vals, gamma)
+
+    monkeypatch.setattr(grids.holder, "pairwise_seminorm", counted)
+    trials = grids.random_cusp_trials(np.random.default_rng(42), 5, 0.5)
+    mixed = [constant(0.0, "zero-a"), *trials, constant(0.0, "zero-b")]
+    with pytest.warns(UserWarning):
+        grids.measure_projector_norm(0.5, grids.UniformGrid(8), mixed, m=129)
+    assert scanned and not any(scanned)
+
+
 def _pwl_trials(rng, count):
     """Random piecewise-linear trials on grids of their own, values of mixed scale."""
     trials = []

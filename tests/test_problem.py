@@ -46,6 +46,38 @@ def test_certify_affine_family_analytic():
     assert not cert.satisfies_existence
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.1, 0.37])
+def test_section5_is_the_two_rate_family_at_half_alpha(alpha):
+    # section5 is paradise_fish(alpha/2, alpha/2): its coefficients are the
+    # paper's affine ones up to rounding, and its certificate is the family's
+    ts = np.linspace(0.0, 1.0, 1025)
+    half = alpha / 2.0
+    p = problem.section5(alpha, 0.5)
+    phi1 = 1.0 - half * (1.0 - ts)
+    phi2 = half * ts
+    assert np.all(np.abs(p.phi1(ts) - phi1) <= 4 * np.spacing(phi1))
+    assert np.all(np.abs(p.phi2(ts) - phi2) <= 4 * np.spacing(phi2))
+    assert problem.certify(p, overrides=problem.section5_norms(alpha)) == problem.certify(
+        problem.paradise_fish(half, half, 0.5), overrides=problem.paradise_fish_norms(half, half))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("entry", [
+    lambda g: holder.estimate_hoelder_norm(identity(), g),
+    lambda g: holder.check_product_bound(identity(), identity(), g),
+    lambda g: holder.check_composition_bound(identity(), identity(), g),
+    lambda g: grids.sup_error_bound(1.0, g, 2, -1.0),  # gamma is checked first
+    lambda g: grids.measure_projector_norm(g, grids.UniformGrid(8), []),  # likewise
+    lambda g: problem.check_corollary_conditions(0.5, 0.1, g),  # likewise
+    lambda g: problem.section5_alpha_bound(g),
+], ids=["estimate_hoelder_norm", "check_product_bound", "check_composition_bound",
+        "sup_error_bound", "measure_projector_norm", "check_corollary_conditions",
+        "section5_alpha_bound"])
+def test_every_exponent_check_raises_one_message(entry, gamma):
+    with pytest.raises(ValueError, match=re.escape(f"gamma must lie in (0, 1], got {gamma}")):
+        entry(gamma)
+
+
 def test_certificate_rigorous_only_with_exact_norms():
     p = problem.section5(0.02, gamma=0.5)
     assert problem.certify(p, overrides=problem.section5_norms(0.02)).rigorous is True

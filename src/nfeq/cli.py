@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__, collocation, grids, holder, picard, problem, study, svgplot
 from .functions import eval_on
-from .oracles import ManufacturedProblem, cusp_solution, manufacture, oracle_by_name, smooth_parabola
+from .oracles import cusp_solution, manufacture, smooth_parabola
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve by collocation")
     add_problem_flags(p_solve)
     p_solve.add_argument("--n", type=int, default=64)
-    p_solve.add_argument("--oracle", choices=["product", "cusp", "smooth_parabola"],
-                         default=None)
     p_solve.add_argument("--output-csv", default=None)
     p_solve.add_argument("--output-svg", default=None)
     p_solve.add_argument("--stats", action="store_true",
@@ -69,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--error-samples", type=int, default=study.DEFAULT_ERROR_SAMPLES)
     p_study.add_argument("--target", choices=["smooth_parabola", "cusp"], default=None,
                          help="manufacture this target on the chosen coefficients")
-    p_study.add_argument("--oracle", choices=["product"], default=None,
-                         help="compare against a closed-form solution instead")
     p_study.add_argument("--smoothness-k", type=int, choices=[0, 1], default=0)
     p_study.add_argument("--fit-min-n", type=int, default=study.DEFAULT_FIT_MIN_N)
     p_study.add_argument("--output-csv", default=None)
@@ -170,48 +166,40 @@ def _custom_problem(args) -> problem.ProblemSpec:
                                gamma=args.gamma)
 
 
-def _build_problem(args):
-    """Returns (ProblemSpec, exact-or-None, NormOverrides-or-None)."""
+def _manufacture_on(base: problem.ProblemSpec, target) -> problem.ProblemSpec:
+    """``target`` manufactured on base's coefficients, keeping base's norms."""
+    manu = manufacture(target, base.phi, base.phi1, base.phi2, base.gamma)
+    return dataclasses.replace(manu.problem, norms=base.norms)
+
+
+def _build_problem(args) -> problem.ProblemSpec:
     _fill_defaults(args)
     if args.problem == "paradise":
-        spec = problem.paradise_fish(args.alpha, args.beta, args.gamma)
-        norms = problem.paradise_fish_norms(args.alpha, args.beta)
-        return spec, None, norms
+        return problem.paradise_fish(args.alpha, args.beta, args.gamma)
     if args.problem == "section5":
-        spec = problem.section5(args.alpha, args.gamma)
-        return spec, None, problem.section5_norms(args.alpha)
+        return problem.section5(args.alpha, args.gamma)
     if args.problem == "cusp":
-        base = problem.section5(args.alpha, args.gamma)
-        manu = manufacture(cusp_solution(args.gamma), base.phi, base.phi1,
-                           base.phi2, args.gamma,
-                           description=f"cusp gamma={args.gamma:g} alpha={args.alpha:g}")
-        return manu.problem, manu.exact, problem.section5_norms(args.alpha)
-    return _custom_problem(args), None, None
+        return _manufacture_on(problem.section5(args.alpha, args.gamma),
+                               cusp_solution(args.gamma))
+    return _custom_problem(args)
 
 
-def _notice_regime(args, spec, norms) -> None:
+def _notice_regime(args, spec) -> None:
     """One stderr line when the computed run lies outside the paper's
     sufficient condition for collocation convergence; it is not an error."""
-    cert = problem.certify(spec, m=args.samples, overrides=norms)
+    cert = problem.certify(spec, m=args.samples)
     if not cert.satisfies_collocation:
         print(f"notice: lipschitz_factor={cert.lipschitz_factor:.6g} >= "
               f"collocation_threshold={cert.collocation_threshold:.6g}: outside the "
               "paper's sufficient condition for collocation convergence"
-              + (" (sampled norms)" if norms is None else ""), file=sys.stderr)
-
-
-def _check_product_oracle(args) -> None:
-    if args.problem != "paradise" or args.alpha != 0.0:
-        raise ValueError("the product oracle is exact only for the "
-                         "paradise family with alpha = 0")
+              + ("" if cert.rigorous else " (sampled norms)"), file=sys.stderr)
 
 
 def _cmd_solve(args) -> int:
-    spec, exact, norms = _build_problem(args)
-    if args.oracle == "product":
-        _check_product_oracle(args)
+    spec = _build_problem(args)
+    exact = spec.exact
     sol = collocation.solve_collocation(spec, args.n)
-    _notice_regime(args, spec, norms)
+    _notice_regime(args, spec)
     res = problem.residual(spec, sol.solution, min(args.samples, 4097))
     print(f"solved N={args.n} residual={res:.3e} condition={sol.condition:.6g}")
     if args.stats:
@@ -219,12 +207,10 @@ def _cmd_solve(args) -> int:
               f"sweeps={sol.stats.sweeps} "
               f"assembly_time={sol.stats.assembly_time:.6g} "
               f"solve_time={sol.stats.solve_time:.6g}")
-    if args.oracle:
-        exact = oracle_by_name(args.oracle, gamma=args.gamma, beta=args.beta)
     if exact is not None:
         ts = study.error_sample_points(study.DEFAULT_ERROR_SAMPLES)
         dev = float(np.abs(sol.solution.evaluate(ts) - eval_on(exact, ts)).max())
-        print(f"sup deviation vs {getattr(exact, 'label', 'oracle')}: {dev:.6e}")
+        print(f"sup deviation vs {exact.label}: {dev:.6e}")
     if args.output_csv:
         grids.write_csv(sol.solution, args.output_csv)
         print(f"wrote {args.output_csv}")
@@ -232,7 +218,7 @@ def _cmd_solve(args) -> int:
         ts = np.linspace(0.0, 1.0, 513)
         series = [(f"collocation N={args.n}", ts, sol.solution.evaluate(ts))]
         if exact is not None:
-            series.append((getattr(exact, "label", "exact"), ts, eval_on(exact, ts)))
+            series.append((exact.label, ts, eval_on(exact, ts)))
         svgplot.write_svg(args.output_svg, series, log=False, title="solution",
                           xlabel="t", ylabel="f(t)")
         print(f"wrote {args.output_svg}")
@@ -240,11 +226,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    spec, _, norms = _build_problem(args)
-    if norms is None:
+    spec = _build_problem(args)
+    if spec.norms is None:
         print("warning: certification uses sampled norms (lower bounds)",
               file=sys.stderr)
-    cert = problem.certify(spec, m=args.samples, overrides=norms)
+    cert = problem.certify(spec, m=args.samples)
     for field in dataclasses.fields(cert):
         value = getattr(cert, field.name)
         print(f"{field.name}={value}" if isinstance(value, bool) else f"{field.name}={value:.12g}")
@@ -257,12 +243,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    spec, _, norms = _build_problem(args)
+    spec = _build_problem(args)
     problem.validate(spec, args.samples)
     grid = grids.UniformGrid(args.n)
     f0 = picard.initial_iterate(spec, grid)
     trace = picard.picard_grid(spec, grid, f0, tol=args.tol, max_iter=args.max_iter)
-    _notice_regime(args, spec, norms)
+    _notice_regime(args, spec)
     tail = trace.contraction_ratios[-1] if trace.contraction_ratios else float("nan")
     print(f"iterations={len(trace.increments)} converged={trace.converged} "
           f"final_increment={trace.increments[-1]:.3e} last_ratio={tail:.4f}")
@@ -284,26 +270,19 @@ def _ladder(nmin: int, nmax: int) -> list[int]:
 
 
 def _cmd_study(args) -> int:
-    spec, exact, norms = _build_problem(args)
-    smoothness_k = args.smoothness_k
-    if args.problem != "cusp":
-        if args.target:
-            target = smooth_parabola() if args.target == "smooth_parabola" \
-                else cusp_solution(args.gamma)
-            manu = manufacture(target, spec.phi, spec.phi1, spec.phi2, args.gamma,
-                               description=f"{args.target} on {args.problem}")
-            spec, exact = manu.problem, manu.exact
-        elif args.oracle == "product":
-            _check_product_oracle(args)
-            exact = oracle_by_name("product", beta=args.beta)
-        else:
-            raise ValueError("study needs an exact solution: use --problem cusp, "
-                             "--target, or --oracle product")
-    report = study.run_study(spec, exact=exact, n_ladder=_ladder(args.nmin, args.nmax),
+    spec = _build_problem(args)
+    if args.target:
+        target = smooth_parabola() if args.target == "smooth_parabola" \
+            else cusp_solution(args.gamma)
+        spec = _manufacture_on(spec, target)
+    if spec.exact is None:
+        raise ValueError("study needs an exact solution: use --problem cusp, "
+                         "--target, or --problem paradise --alpha 0")
+    report = study.run_study(spec, n_ladder=_ladder(args.nmin, args.nmax),
                              m=args.error_samples, fit_min_n=args.fit_min_n,
-                             smoothness_k=smoothness_k,
+                             smoothness_k=args.smoothness_k,
                              label=f"{args.problem} gamma={args.gamma:g}")
-    _notice_regime(args, spec, norms)
+    _notice_regime(args, spec)
     for r in report.ladder:
         print(f"N={r.n:6d} h={r.h:.6g} error={r.sup_error:.6e} runtime={r.runtime:.3g}s")
     print(study.summary_line(report))

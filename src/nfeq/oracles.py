@@ -73,7 +73,8 @@ class ManufacturedProblem:
 def manufacture(target: FunctionHandle, phi: FunctionHandle,
                 phi1: FunctionHandle, phi2: FunctionHandle,
                 gamma: float, description: str = "") -> ManufacturedProblem:
-    """Choose the source so ``target`` becomes the exact zero-boundary solution.
+    """Choose the source so ``target`` becomes the exact zero-boundary solution,
+    which the problem carries as its ``exact``.
 
     k(t) = target(t) - phi(t) target(phi1(t)) - (1-phi(t)) target(phi2(t)),
     a composite closure so collocation can sample it at arbitrary nodes. It
@@ -95,27 +96,10 @@ def manufacture(target: FunctionHandle, phi: FunctionHandle,
 
     source = FunctionHandle(eval=k, label=f"manufactured({target.label})")
     prob = ProblemSpec(phi=phi, phi1=phi1, phi2=phi2, source=source,
-                       boundary_left=0.0, boundary_right=0.0, gamma=gamma)
+                       boundary_left=0.0, boundary_right=0.0, gamma=gamma, exact=target)
     defect = residual(prob, target, 101)
     if defect > MANUFACTURE_TOL:
         raise ValueError(f"manufactured residual {defect:.3e} exceeds "
                          f"{MANUFACTURE_TOL:.0e}")
     return ManufacturedProblem(problem=prob, exact=target,
                                description=description or f"target {target.label}")
-
-
-def oracle_by_name(name: str, gamma: float | None = None,
-                   beta: float | None = None) -> FunctionHandle:
-    """Built-in oracle registry: cusp(gamma), product(beta), smooth_parabola."""
-    if name == "cusp":
-        if gamma is None:
-            raise ValueError("cusp oracle needs gamma")
-        return cusp_solution(gamma)
-    if name == "product":
-        if beta is None:
-            raise ValueError("product oracle needs beta")
-        return product_solution(beta)
-    if name == "smooth_parabola":
-        return smooth_parabola()
-    raise ValueError(f"unknown oracle {name!r} "
-                     "(expected cusp, product, or smooth_parabola)")

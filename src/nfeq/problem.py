@@ -33,6 +33,10 @@ class ProblemSpec:
     boundary_left: float
     boundary_right: float
     gamma: float
+    #: exact coefficient norms, which make certify rigorous, when known
+    norms: NormOverrides | None = field(default=None, compare=False)
+    #: the exact solution, which studies and solves compare against, when known
+    exact: FunctionHandle | None = field(default=None, compare=False)
 
     @property
     def is_original_form(self) -> bool:
@@ -113,19 +117,19 @@ class ContractionCertificate:
     collocation_threshold: float
     satisfies_existence: bool
     satisfies_collocation: bool
-    #: True when built from exact norms (overrides), False when sampled: how
+    #: True when built from exact norms, False when sampled: how
     #: the norms were found, so certificates of equal norms compare equal
     rigorous: bool = field(compare=False)
 
 
 def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
             overrides: NormOverrides | None = None) -> ContractionCertificate:
-    """Build the contraction certificate from sampled or supplied norms.
+    """Build the contraction certificate from exact or sampled norms.
 
-    With ``overrides`` it uses their four norms; without, it samples all
-    four on m points. Sampled norms are lower bounds, so that certificate
-    is heuristic: it can declare contraction where the true factors are
-    slightly larger.
+    It uses the four norms of ``overrides``, else the problem's own
+    ``p.norms``; with neither it samples all four on m points. Sampled
+    norms are lower bounds, so that certificate is heuristic: it can
+    declare contraction where the true factors are slightly larger.
 
     ``satisfies_existence`` (the paper's fixed_point_factor < 1) cannot hold
     when |phi(1)| >= 1, as for every built-in family (phi = t). validate
@@ -138,13 +142,14 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
     """
     validate(p, m)
     g = p.gamma
-    if overrides is None:
+    norms = overrides if overrides is not None else p.norms
+    if norms is None:
         ng = holder.estimate_hoelder_norm(p.phi, g, m).norm
         n1, n2 = holder.estimate_lipschitz_norms([p.phi1, p.phi2], m)
         p10 = float(eval_on(p.phi1, np.array([0.0]))[0])
     else:
-        ng, n1, n2, p10 = (overrides.norm_phi_gamma, overrides.norm_phi1_lip,
-                           overrides.norm_phi2_lip, overrides.phi1_at_zero)
+        ng, n1, n2, p10 = (norms.norm_phi_gamma, norms.norm_phi1_lip,
+                           norms.norm_phi2_lip, norms.phi1_at_zero)
 
     drift = max(n1 - p10, 0.0)
     lipschitz = 2.0 * ng * (n2 ** g + drift ** g)
@@ -160,7 +165,7 @@ def certify(p: ProblemSpec, m: int = holder.DEFAULT_SAMPLES,
         collocation_threshold=threshold,
         satisfies_existence=fixed_point < 1.0,
         satisfies_collocation=lipschitz < threshold,
-        rigorous=overrides is not None,
+        rigorous=norms is not None,
     )
 
 
@@ -200,12 +205,17 @@ class FormError(ValueError):
 
 
 def to_homogeneous(p: ProblemSpec) -> ProblemSpec:
-    """Shift f -> f - t: zero boundary values and source k(t) = p.operator(id, t) - t."""
+    """Shift f -> f - t: zero boundary values and source k(t) = p.operator(id, t) - t.
+
+    The coefficients, and so ``p.norms``, are kept; a known exact solution
+    u becomes u - t."""
     if not p.is_original_form:
         raise FormError("problem already has zero boundary values")
     ident = identity()
     source = FunctionHandle(eval=lambda t: p.operator(ident, t) - t, label="T(id)-id")
-    return replace(p, source=source, boundary_left=0.0, boundary_right=0.0)
+    exact = None if p.exact is None else FunctionHandle(
+        eval=lambda t: p.exact(t) - np.asarray(t, dtype=float), label=f"{p.exact.label}-t")
+    return replace(p, source=source, boundary_left=0.0, boundary_right=0.0, exact=exact)
 
 
 def residual(p: ProblemSpec, f, m: int = 101) -> float:
@@ -220,16 +230,22 @@ def residual(p: ProblemSpec, f, m: int = 101) -> float:
 # ---------------------------------------------------------------------------
 
 def paradise_fish(alpha: float, beta: float, gamma: float = 1.0) -> ProblemSpec:
-    """Two-gate learning family: phi=t, phi1 = alpha*t + 1 - alpha, phi2 = beta*t."""
+    """Two-gate learning family: phi=t, phi1 = alpha*t + 1 - alpha, phi2 = beta*t.
+
+    It carries its exact norms, and at alpha = 0 < beta < 1 its exact
+    solution ``oracles.product_solution(beta)``."""
+    from .oracles import product_solution  # oracles imports this module
     phi1 = FunctionHandle(
         eval=lambda t: alpha * np.asarray(t, dtype=float) + (1.0 - alpha),
         label=f"{alpha:g}*t+{1 - alpha:g}")
     phi2 = FunctionHandle(
         eval=lambda t: beta * np.asarray(t, dtype=float),
         label=f"{beta:g}*t")
+    exact = product_solution(beta) if alpha == 0.0 and 0.0 < beta < 1.0 else None
     return ProblemSpec(phi=identity("t"), phi1=phi1, phi2=phi2,
                        source=constant(0.0, "0"),
-                       boundary_left=0.0, boundary_right=1.0, gamma=gamma)
+                       boundary_left=0.0, boundary_right=1.0, gamma=gamma,
+                       norms=paradise_fish_norms(alpha, beta), exact=exact)
 
 
 def paradise_fish_norms(alpha: float, beta: float) -> NormOverrides:
@@ -239,7 +255,8 @@ def paradise_fish_norms(alpha: float, beta: float) -> NormOverrides:
 
 def section5(alpha: float, gamma: float) -> ProblemSpec:
     """The paper's affine example, phi1 = 1 - (alpha/2)(1 - t) and phi2 =
-    (alpha/2) t: the two-rate family at alpha = beta = alpha/2."""
+    (alpha/2) t: the two-rate family at alpha = beta = alpha/2, whose exact
+    norms it carries."""
     return paradise_fish(alpha / 2.0, alpha / 2.0, gamma)
 
 

@@ -77,19 +77,15 @@ def run_study(problem, exact: FunctionHandle | None = None,
               label: str | None = None) -> ConvergenceReport:
     """Solve across the refinement ladder, measure sup errors, fit the order.
 
-    ``problem`` may be a ProblemSpec (with ``exact`` supplied) or a
-    ManufacturedProblem (its own exact solution is used). A solver failure
-    on a rung leaves a partial ladder with the failure recorded.
+    ``problem`` may be a ProblemSpec or a ManufacturedProblem. Without
+    ``exact`` it compares against the spec's own ``exact``. A solver
+    failure on a rung leaves a partial ladder with the failure recorded.
     The problem is validated once, before any rung runs: each rung calls
     ``collocation._solve``, which requires a validated problem.
     """
-    if isinstance(problem, ManufacturedProblem):
-        spec = problem.problem
-        exact = exact or problem.exact
-        label = label or problem.description
-    else:
-        spec = problem
-        label = label or "problem"
+    spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
+    label = label or getattr(problem, "description", "problem")
+    exact = exact or spec.exact
     if exact is None:
         raise ValueError("an exact solution is required to measure errors")
     ladder = sorted(int(n) for n in (n_ladder or []))

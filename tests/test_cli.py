@@ -68,8 +68,9 @@ def test_certify_says_whether_it_is_rigorous(tabulated, tmp_path, capsys):
     argv = ["certify"] + (tabulated_problem_args(tmp_path) if tabulated
                           else ["--problem", "section5"])
     args = cli._build_parser().parse_args(argv)
-    spec, _, norms = cli._build_problem(args)
-    cert = problem.certify(spec, m=args.samples, overrides=norms)
+    spec = cli._build_problem(args)
+    assert (spec.norms is None) is tabulated
+    cert = problem.certify(spec, m=args.samples)
     assert cert.rigorous is not tabulated
     code, out, _ = run(argv, capsys)
     assert code == 0
@@ -90,12 +91,25 @@ def test_certify_analytic_norms_flag_is_gone(capsys):
     ["--problem", "cusp"],
 ], ids=["paradise", "section5", "cusp"])
 def test_certify_prints_the_exact_family_norms(argv, capsys):
-    spec, _, norms = cli._build_problem(cli._build_parser().parse_args(["certify"] + argv))
-    cert = problem.certify(spec, overrides=norms)
+    spec = cli._build_problem(cli._build_parser().parse_args(["certify"] + argv))
+    cert = problem.certify(spec)
     code, out, err = run(["certify"] + argv, capsys)
     assert code == 0 and err == ""
     assert f"lipschitz_factor={cert.lipschitz_factor:.12g}\n" in out
-    assert f"norm_phi2_lip={norms.norm_phi2_lip:.12g}\n" in out
+    assert f"norm_phi2_lip={spec.norms.norm_phi2_lip:.12g}\n" in out
+
+
+@pytest.mark.parametrize("gamma", ["0.25", "0.5"])
+def test_cusp_problem_carries_its_exact_norms_and_solution(gamma):
+    # the cusp keeps the norms of the section5 coefficients it is
+    # manufactured on, so it certifies rigorously without overrides
+    args = cli._build_parser().parse_args(["certify", "--problem", "cusp",
+                                           "--gamma", gamma])
+    spec = cli._build_problem(args)
+    cert = problem.certify(spec)
+    assert cert.rigorous is True
+    assert cert == problem.certify(spec, overrides=problem.section5_norms(args.alpha))
+    assert spec.exact.label == f"cusp(gamma={gamma})"
 
 
 def test_certify_invalid_gamma(capsys):
@@ -124,23 +138,32 @@ def test_solve_writes_csv_and_reruns_identically(tmp_path, capsys):
 
 
 def test_solve_with_product_oracle(capsys):
+    # paradise at alpha = 0 carries product(beta) as its exact solution
     code, out, _ = run(["solve", "--problem", "paradise", "--alpha", "0",
-                        "--beta", "0.2", "--n", "256", "--oracle", "product"],
-                       capsys)
+                        "--beta", "0.2", "--n", "256"], capsys)
     assert code == 0
-    assert "sup deviation" in out
+    assert "sup deviation vs product(beta=0.2)" in out
     dev = float(out.split("sup deviation vs")[1].split(":")[1])
     assert dev <= 1e-3
 
 
-def test_solve_product_oracle_requires_alpha_zero(capsys):
-    # product(beta) solves the paradise family only at alpha = 0: no deviation
-    # against it is printed for alpha = 0.05, and nothing is solved first
-    code, out, err = run(["solve", "--problem", "paradise", "--alpha", "0.05",
-                          "--oracle", "product"], capsys)
+def test_solve_prints_no_deviation_without_an_exact_solution(capsys):
+    code, out, _ = run(["solve", "--problem", "paradise", "--alpha", "0.05",
+                        "--n", "16"], capsys)
+    assert code == 0 and "solved N=16" in out
+    assert "deviation" not in out
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_oracle_flag_is_gone(command, capsys):
+    # a problem carries its own exact solution: none can be paired with it by
+    # hand, and the run stops at argparse before anything is solved
+    code, out, err = run([command, "--problem", "paradise", "--alpha", "0",
+                          "--oracle", "smooth_parabola"], capsys)
     assert code == 1
-    assert "alpha = 0" in err
     assert out == ""
+    assert err.splitlines()[-1] == ("nfeq: error: unrecognized arguments: "
+                                    "--oracle smooth_parabola")
 
 
 def test_solve_large_n_stats(capsys):
@@ -240,11 +263,23 @@ def test_study_requires_exact_solution(capsys):
     assert "exact solution" in err
 
 
-def test_study_product_oracle_requires_alpha_zero(capsys):
-    code, _, err = run(["study", "--problem", "paradise", "--oracle", "product"],
-                       capsys)
-    assert code == 1
-    assert "alpha = 0" in err
+def test_study_paradise_at_alpha_zero_needs_no_flag(capsys):
+    code, out, err = run(["study", "--problem", "paradise", "--alpha", "0",
+                          "--nmin", "16", "--nmax", "128"], capsys)
+    assert code == 0 and err == ""
+    assert "fitted_order=" in out
+
+
+def test_study_target_applies_to_cusp(capsys):
+    # --target manufactures on the cusp problem's coefficients too
+    argv = ["study", "--problem", "cusp", "--nmin", "16", "--nmax", "128"]
+    code, plain, _ = run(argv, capsys)
+    assert code == 0
+    code, parabola, _ = run(argv + ["--target", "smooth_parabola"], capsys)
+    assert code == 0
+    assert parabola != plain
+    fitted = float(parabola.split("fitted_order=")[1].split()[0])
+    assert fitted > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +423,6 @@ def test_in_regime_runs_print_no_notice(command, problem_args, capsys):
     argv = [command] + problem_args
     if command == "study":
         argv += ["--nmin", "16", "--nmax", "128"]
-        if "paradise" in problem_args:
-            argv += ["--oracle", "product"]
     code, out, err = run(argv, capsys)
     assert code == 0 and out != ""
     assert err == ""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_pruning_reaches_few_leaf_tiles(monkeypatch):
     scan = holder._scan_leaves
     monkeypatch.setattr(holder, "_scan_leaves",
                         lambda *args: scanned.append(args[4].size) or scan(*args))
-    certify(section5(0.02, 0.5), m=2049)
+    certify(replace(section5(0.02, 0.5), norms=None), m=2049)  # sampled norms
     assert sum(scanned) <= 16
     scanned.clear()
     ts = holder.uniform_samples(513)

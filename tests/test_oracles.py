@@ -130,6 +130,9 @@ def test_manufacture_cusp_on_affine_family():
     k = manu.problem.source
     assert abs(float(k(0.0))) <= 1e-12 and abs(float(k(1.0))) <= 1e-12
     assert problem.residual(manu.problem, manu.exact, 101) <= 1e-12
+    # the problem carries its target, but not the norms of its coefficients
+    assert manu.problem.exact is manu.exact
+    assert manu.problem.norms is None
 
 
 def test_manufacture_smooth_target_on_paradise():
@@ -181,14 +184,3 @@ def test_manufacture_rejects_nonvanishing_target():
     with pytest.raises(ValueError):
         oracles.manufacture(identity(), identity(), identity(), identity(), 1.0)
 
-
-def test_oracle_registry():
-    assert oracles.oracle_by_name("smooth_parabola").label == "t(1-t)"
-    assert oracles.oracle_by_name("cusp", gamma=0.5)(0.5) == pytest.approx(0.5 ** 0.5)
-    assert oracles.oracle_by_name("product", beta=0.2)(1.0) == 1.0
-    with pytest.raises(ValueError):
-        oracles.oracle_by_name("cusp")
-    with pytest.raises(ValueError):
-        oracles.oracle_by_name("product")
-    with pytest.raises(ValueError):
-        oracles.oracle_by_name("unknown")

@@ -81,7 +81,30 @@ def test_every_exponent_check_raises_one_message(entry, gamma):
 def test_certificate_rigorous_only_with_exact_norms():
     p = problem.section5(0.02, gamma=0.5)
     assert problem.certify(p, overrides=problem.section5_norms(0.02)).rigorous is True
-    assert problem.certify(p).rigorous is False
+    assert problem.certify(replace(p, norms=None)).rigorous is False
+
+
+@pytest.mark.parametrize("spec, norms", [
+    (problem.paradise_fish(0.0, 0.2, 1.0), problem.paradise_fish_norms(0.0, 0.2)),
+    (problem.paradise_fish(0.05, 0.2, 0.5), problem.paradise_fish_norms(0.05, 0.2)),
+    (problem.section5(0.02, 0.5), problem.section5_norms(0.02)),
+], ids=["paradise", "paradise-slow", "section5"])
+def test_builtin_families_carry_their_exact_norms(spec, norms):
+    # certify needs no overrides for a built-in family: its norms are the
+    # family's exact ones, so the certificate is rigorous and the same
+    cert = problem.certify(spec)
+    assert cert.rigorous is True
+    assert cert == problem.certify(spec, overrides=norms)
+    assert spec.norms == norms
+
+
+def test_paradise_carries_its_exact_solution_only_at_alpha_zero():
+    p = problem.paradise_fish(0.0, 0.2)
+    assert p.exact.label == "product(beta=0.2)"
+    assert problem.residual(p, p.exact) <= 1e-12
+    for alpha, beta in ((0.05, 0.2), (0.0, 0.0), (0.0, 1.0)):
+        assert problem.paradise_fish(alpha, beta).exact is None
+    assert problem.section5(0.02, 0.5).exact is None
 
 
 def test_certify_constant_delays():
@@ -135,19 +158,20 @@ def test_family_norms_match_sampled_norms(gamma):
     for alpha in (0.0, 0.02, 0.1, 0.5, 1.0):
         for beta in (0.0, 0.2, 0.5, 0.999, 1.0):
             exact = problem.paradise_fish_norms(alpha, beta)
-            sampled = problem.certify(problem.paradise_fish(alpha, beta, gamma))
+            sampled = problem.certify(replace(problem.paradise_fish(alpha, beta, gamma),
+                                              norms=None))
             for name in _NORM_FIELDS:
                 assert getattr(sampled, name) == pytest.approx(
                     getattr(exact, name), rel=0, abs=1e-12), (alpha, beta, name)
         exact = problem.section5_norms(alpha)
-        sampled = problem.certify(problem.section5(alpha, gamma))
+        sampled = problem.certify(replace(problem.section5(alpha, gamma), norms=None))
         for name in _NORM_FIELDS:
             assert getattr(sampled, name) == pytest.approx(
                 getattr(exact, name), rel=0, abs=1e-12), (alpha, name)
 
 
 def test_certify_override_monotonicity():
-    p = problem.paradise_fish(0.05, 0.2, gamma=1.0)
+    p = replace(problem.paradise_fish(0.05, 0.2, gamma=1.0), norms=None)
     sampled = problem.certify(p)
     echo = problem.certify(p, overrides=problem.NormOverrides(
         norm_phi_gamma=sampled.norm_phi_gamma,
@@ -233,6 +257,16 @@ def test_to_homogeneous_affine_midpoint():
     assert abs(float(hom.source(0.5))) <= 1e-15
     assert abs(float(hom.source(0.0))) <= 1e-12
     assert abs(float(hom.source(1.0))) <= 1e-12
+
+
+def test_to_homogeneous_shifts_the_exact_solution():
+    # the shifted problem is solved by product(beta) - t, not by product(beta)
+    p = problem.paradise_fish(0.0, 0.2)
+    h = problem.to_homogeneous(p)
+    assert problem.residual(h, h.exact) <= 1e-12
+    assert problem.residual(h, p.exact) > 0.01
+    assert h.norms == p.norms
+    assert problem.to_homogeneous(problem.section5(0.02, 0.5)).exact is None
 
 
 def test_to_homogeneous_rejects_homogeneous_input():

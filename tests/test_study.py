@@ -112,6 +112,16 @@ def test_run_study_rungs_equal_solve_collocation(case):
     assert [r.sup_error for r in report.ladder] == expected
 
 
+def test_run_study_falls_back_to_the_spec_exact_solution():
+    spec = problem.paradise_fish(0.0, 0.2)
+    own = study.run_study(spec, n_ladder=LADDER)
+    given = study.run_study(spec, exact=product_solution(0.2), n_ladder=LADDER)
+    assert [r.sup_error for r in own.ladder] == [r.sup_error for r in given.ladder]
+    # an exact solution passed in wins over the spec's own
+    zero = study.run_study(spec, exact=constant(0.0), n_ladder=LADDER)
+    assert zero.ladder[-1].sup_error > 0.5
+
+
 def test_run_study_refuses_invalid_problem_before_any_rung(monkeypatch):
     solved = []
     monkeypatch.setattr(study, "_solve", lambda p, n: solved.append(n))
@@ -168,7 +178,7 @@ def test_run_study_input_validation():
     with pytest.raises(ValueError):
         study.run_study(manu, n_ladder=[1, 2, 4, 8], m=65)  # rung below 2
     with pytest.raises(ValueError):
-        study.run_study(problem.paradise_fish(0.0, 0.2, 1.0),
+        study.run_study(problem.paradise_fish(0.05, 0.2, 1.0),
                         n_ladder=[4, 8, 16, 32], m=65)  # no exact solution
 
 

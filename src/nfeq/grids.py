@@ -51,31 +51,36 @@ class UniformGrid:
 
 def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
     """``place`` for points t checked and clamped by clamp_unit, a fresh copy."""
-    return place(grid, clamp_unit(t))
+    return place(grid.nodes, grid.n, clamp_unit(t))
 
 
-def place(grid: UniformGrid, tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def place(nodes: np.ndarray, n, tc: np.ndarray,
+          first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cell index i and hat weight w with tc = (1 - w) t_i + w t_{i+1}.
 
-    tc is a 1-d float array already in [0, 1]; w is computed in place in it.
-    The cell is floor(tc N), moved by one step where rounding put tc N on the
-    wrong side of a node, so i equals searchsorted(grid.nodes, tc, "right")
-    - 1 clipped to [0, N-1].
+    The grid has n subintervals and nodes t_0..t_n = nodes[first:first + n + 1].
+    n and first may be arrays, one entry per point of tc: then each point
+    is placed on its own grid, whose nodes lie at ``first`` in the
+    concatenated ``nodes`` of several grids. tc is a 1-d float array already
+    in [0, 1]; w is computed in place in it. The cell is floor(tc n), moved
+    by one step where rounding put tc n on the wrong side of a node, so i
+    equals searchsorted(t_0..t_n, tc, "right") - 1 clipped to [0, n-1].
     """
-    nodes, n = grid.nodes, grid.n
     rights = nodes[1:]  # t_{i+1} as rights.take(i): no i + 1 array is made
-    # floor(tc N) as tc >= 0, cast straight into the index array
+    # floor(tc n) as tc >= 0, cast straight into the index array
     i = np.multiply(tc, n, out=np.empty(tc.shape, np.intp), casting="unsafe")
     np.minimum(i, n - 1, out=i)
-    left = nodes.take(i)
-    width = rights.take(i)
+    at = i if first is None else i + first
+    left = nodes.take(at)
+    width = rights.take(at)
     below, above = left > tc, width <= tc
     if below.any() or above.any():
         above &= i < n - 1  # the last cell ends at t = 1
         i -= below
         i += above
-        left = nodes.take(i)
-        width = rights.take(i)
+        at = i if first is None else i + first
+        left = nodes.take(at)
+        width = rights.take(at)
     # w = (tc - left) / (right - left) in place: fewer full-size temporaries
     # halve the page faults of grid Picard at N = 2^18 (measured)
     width -= left

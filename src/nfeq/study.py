@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .collocation import CollocationError, _solve, load_sparse
+from .collocation import _solve_ladder
 from .functions import FunctionHandle, eval_on
 from .grids import write_table
 from .oracles import ManufacturedProblem
@@ -36,9 +36,10 @@ def error_sample_points(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LadderRung:
-    """``runtime`` times the rung's solve and sup error; the one-time loads
-    and the problem's validation run before the first rung's clock, and
-    the SuperLU import of a first fallback is taken out of its rung's."""
+    """``runtime`` is the rung's row share (N - 1) / T of the whole ladder's
+    solve, T the rows of all rungs, plus its own sup-error measurement. The
+    one-time loads and the problem's validation run before the solve's
+    clock, and the SuperLU import of a first fallback is taken out of it."""
 
     n: int
     h: float
@@ -78,10 +79,13 @@ def run_study(problem, exact: FunctionHandle | None = None,
     """Solve across the refinement ladder, measure sup errors, fit the order.
 
     ``problem`` may be a ProblemSpec or a ManufacturedProblem. Without
-    ``exact`` it compares against the spec's own ``exact``. A solver
-    failure on a rung leaves a partial ladder with the failure recorded.
-    The problem is validated once, before any rung runs: each rung calls
-    ``collocation._solve``, which requires a validated problem.
+    ``exact`` it compares against the spec's own ``exact``. The problem is
+    validated once, and then every rung is solved at once as one
+    block-diagonal system (``collocation._solve_ladder``): each rung's
+    solution, condition and stats are those of ``solve_collocation`` on its
+    own N. A solver failure on a rung leaves a partial ladder with the
+    failure recorded. A ``fit_min_n`` above the largest N, which would leave
+    no rung to fit, raises ValueError.
     """
     spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
     label = label or getattr(problem, "description", "problem")
@@ -93,26 +97,26 @@ def run_study(problem, exact: FunctionHandle | None = None,
         raise ValueError(f"ladder needs at least 4 entries, got {len(ladder)}")
     if ladder[0] < 2:
         raise ValueError(f"every rung needs N >= 2, got {ladder[0]}")
+    if fit_min_n > ladder[-1]:
+        raise ValueError(f"fit_min_n={fit_min_n} exceeds the largest N={ladder[-1]}: "
+                         "no rung would enter the fit")
 
     ts = error_sample_points(m)
     exact_vals = eval_on(exact, ts)
 
+    validate(spec)  # depends on no N, so once for every rung
+    solutions, failure, seconds = _solve_ladder(spec, ladder)
+    rows = sum(n - 1 for n in ladder)
     rungs: list[LadderRung] = []
     notes: list[str] = []
-    failure = None
-    load_sparse()  # the first solve's import stays out of every rung's runtime
-    validate(spec)  # depends on no N, so once for every rung
-    for n in ladder:
+    for sol in solutions:
+        n = sol.grid.n
         t0 = time.perf_counter()
-        try:
-            sol = _solve(spec, n)
-        except CollocationError as exc:
-            failure = f"N={n}: {exc}"
-            break
         err = float(np.abs(sol.solution.evaluate(ts) - exact_vals).max())
-        # a first SuperLU fallback's import is no part of the rung's work
-        runtime = time.perf_counter() - t0 - sol.stats.import_time
+        runtime = (n - 1) / rows * seconds + (time.perf_counter() - t0)
         rungs.append(LadderRung(n=n, h=1.0 / n, sup_error=err, runtime=runtime))
+    if failure is not None:
+        failure = f"N={ladder[len(solutions)]}: {failure}"
 
     fit_points = [(r.h, r.sup_error) for r in rungs if r.n >= fit_min_n]
     excluded = [r for r in rungs if r.n < fit_min_n]

@@ -282,6 +282,14 @@ def test_study_target_applies_to_cusp(capsys):
     assert fitted > 1.5
 
 
+def test_study_refuses_fit_min_n_above_nmax(capsys):
+    code, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
+                          "--fit-min-n", "100000"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "fit_min_n=100000 exceeds the largest N=256" in err
+
+
 # ---------------------------------------------------------------------------
 # interp-check
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def test_frozen_bound_brackets_exact_inverse_norm(n, monkeypatch):
     for _ in range(20):
         b = random_substochastic_map(rng, n)
         k = rng.uniform(-1.0, 1.0, n - 1)
-        u, bound, sweeps = collocation._certified_sweeps(p, b, k)
+        [(u, bound, sweeps)] = collocation._certified_sweeps(p, b, k, [0])
         assert u is not None
         a = np.eye(n - 1) - dense(b)[:, 1:-1]
         exact_inv = np.abs(np.linalg.inv(a)).sum(axis=1).max()
@@ -348,7 +348,7 @@ def test_interior_norm_matches_scipy_diagonal(n):
         ref_b = sparse.csr_array((b.data, b.indices, b.indptr), shape=b.shape)
         diag = ref_b.diagonal(1)
         ref = float((np.abs(1.0 - diag) + ref_b @ interior - diag).max())
-        assert collocation._interior_norm(b) == ref
+        assert collocation._interior_norm(b, [0]) == [ref]
 
 
 def count_sweeps(monkeypatch):
@@ -368,6 +368,47 @@ def test_sweeps_per_solve(name, most, n, monkeypatch):
     sol = collocation.solve_collocation(sweep_problems()[name], n)
     assert sol.stats.solver == "sweep"
     assert len(calls) <= most
+
+
+def test_ladder_sweeps_a_rung_only_while_a_rung_at_or_above_it_is_live(monkeypatch):
+    # paradise at beta = 0.8: N = 16 sweeps 105 times, N = 4096 gives up at
+    # sweep 9; each rung's rows are swept for u exactly as often as the
+    # longest run of its own or a finer rung, one kernel call per sweep
+    ladder = [2 ** j for j in range(4, 13)]
+    calls = []
+    real = collocation.sweep
+    monkeypatch.setattr(collocation, "sweep", lambda b, k, *args: calls.append(
+        (b.shape[0], np.ndim(k))) or real(b, k, *args))
+    solutions, failure, _ = collocation._solve_ladder(problem.paradise_fish(0.05, 0.8),
+                                                      ladder)
+    assert failure is None
+    sweeps = [sol.stats.sweeps for sol in solutions]
+    assert sweeps[0] == 105
+    assert (sweeps[-1], solutions[-1].stats.solver) == (9, "superlu")
+    u_rows = [rows for rows, ndim in calls if ndim == 1]  # w's data is the scalar 1
+    assert len(u_rows) == max(sweeps)
+    start = 0
+    for r, n in enumerate(ladder):
+        assert sum(rows > start for rows in u_rows) == max(sweeps[r:]), n
+        start += n - 1
+
+
+def test_ladder_rows_are_each_grids_own_map():
+    # the rows of a ladder's B, columns shifted back, are each grid's own B
+    p = _cusp_problem()
+    ladder = [5, 7, 12, 30]
+    b, k = collocation.delay_map(p, *(grids.UniformGrid(n) for n in ladder))
+    rows = sum(ladder) - len(ladder)
+    assert b.shape == (rows, rows + 2) and b.nnz == 4 * rows
+    start = 0
+    for n in ladder:
+        own = collocation._rung_map(b, start, start + n - 1)
+        ref_b, ref_k = collocation.delay_map(p, grids.UniformGrid(n))
+        for got, want in ((own.data, ref_b.data), (own.indices, ref_b.indices),
+                          (own.indptr, ref_b.indptr), (k[start:start + n - 1], ref_k)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+        assert own.shape == ref_b.shape
+        start += n - 1
 
 
 def test_budget_runs_out_after_freeze(monkeypatch):
@@ -432,9 +473,9 @@ def test_residual_gate_rejects_perturbed_solution(solver, monkeypatch):
         real = collocation._certified_sweeps
 
         def perturbed(*args):
-            u, bound, sweeps = real(*args)
+            [(u, bound, sweeps)] = real(*args)
             u[u.size // 2] += 1e-6
-            return u, bound, sweeps
+            return [(u, bound, sweeps)]
 
         monkeypatch.setattr(collocation, "_certified_sweeps", perturbed)
     else:
@@ -872,8 +913,8 @@ def test_singular_system_stops_sweeping_at_n(monkeypatch):
         collocation.solve_collocation(singular_problem(), 8)
     assert 0 < len(calls) <= 2 * 8
     p = singular_problem()
-    u, bound, sweeps = collocation._certified_sweeps(p, *collocation.delay_map(
-        p, grids.UniformGrid(8)))
+    [(u, bound, sweeps)] = collocation._certified_sweeps(p, *collocation.delay_map(
+        p, grids.UniformGrid(8)), [0])
     assert u is None and bound == np.inf and sweeps == 8
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfeq import collocation, problem, study
+from nfeq import collocation, grids, problem, study
 from nfeq.functions import EvaluationError, FunctionHandle, constant, eval_on, identity
 from nfeq.oracles import cusp_solution, manufacture, product_solution, smooth_parabola
 
@@ -112,6 +112,103 @@ def test_run_study_rungs_equal_solve_collocation(case):
     assert [r.sup_error for r in report.ladder] == expected
 
 
+def singular_problem():
+    """phi = 1 makes every interior row u_i - u_i = 0: a singular system."""
+    return problem.ProblemSpec(phi=constant(1.0), phi1=identity(), phi2=identity(),
+                               source=constant(0.0), boundary_left=0.0,
+                               boundary_right=1.0, gamma=1.0)
+
+
+def ladder_solves(monkeypatch):
+    """Records what ``run_study``'s one ladder solve returns."""
+    seen = []
+
+    def recorded(p, ns):
+        seen.append(collocation._solve_ladder(p, ns))
+        return seen[-1]
+
+    monkeypatch.setattr(study, "_solve_ladder", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("case, ladder", [
+    ("cusp", LADDER),
+    ("section5", LADDER),
+    ("product", LADDER),
+    # 105 sweeps at N = 16, SuperLU from N = 1024 on
+    ("paradise-slow", [2 ** k for k in range(4, 13)]),
+    ("cusp", [30, 5, 12, 7]),
+], ids=["cusp", "section5", "product", "paradise-slow", "cusp-unsorted"])
+def test_run_study_solves_every_rung_as_solve_collocation(case, ladder, monkeypatch):
+    spec = {"cusp": lambda: cusp_manufactured().problem,
+            "section5": lambda: problem.section5(0.02, 0.5),
+            "product": lambda: problem.paradise_fish(0.0, 0.2),
+            "paradise-slow": lambda: problem.paradise_fish(0.05, 0.8)}[case]()
+    seen = ladder_solves(monkeypatch)
+    report = study.run_study(spec, exact=constant(0.0), n_ladder=ladder)
+    assert report.failure is None
+    [(solutions, failure, _)] = seen
+    assert failure is None and [s.grid.n for s in solutions] == sorted(ladder)
+    for sol in solutions:
+        ref = collocation.solve_collocation(spec, sol.grid.n)
+        assert np.array_equal(sol.solution.values, ref.solution.values)
+        assert sol.condition == ref.condition
+        assert (sol.stats.sweeps, sol.stats.solver, sol.stats.nonzeros) == \
+            (ref.stats.sweeps, ref.stats.solver, ref.stats.nonzeros)
+    if case == "paradise-slow":
+        assert {s.stats.solver for s in solutions} == {"sweep", "superlu"}
+
+
+def test_run_study_singular_problem_fails_at_its_first_rung():
+    with pytest.raises(collocation.CollocationError) as exc:
+        collocation.solve_collocation(singular_problem(), 16)
+    report = study.run_study(singular_problem(), exact=identity(), n_ladder=LADDER)
+    assert report.ladder == []
+    assert report.failure == f"N=16: {exc.value}"
+
+
+def test_run_study_runtime_is_the_row_share_of_the_ladder_solve(monkeypatch):
+    seen = ladder_solves(monkeypatch)
+    report = study.run_study(cusp_manufactured(), n_ladder=LADDER)
+    [(_, _, seconds)] = seen
+    rows = sum(n - 1 for n in LADDER)
+    for rung in report.ladder:
+        # the rest is the rung's own error measurement
+        assert rung.runtime > (rung.n - 1) / rows * seconds > 0.0
+
+
+def test_run_study_domain_error_names_the_later_rungs_own_node():
+    # phi1 leaves [0, 1] only at node 1 of N = 30, which is no node of the
+    # coarser rungs nor a sample point of validate
+    base = problem.paradise_fish(0.0, 0.2)
+    bad = grids.UniformGrid(30).nodes[1]
+    spec = replace(base, phi1=FunctionHandle(
+        eval=lambda t: np.where(np.isin(t, bad), 1.001, base.phi1(t)), label="spiked"))
+    for n in (5, 7, 12):
+        collocation.solve_collocation(spec, n)
+    with pytest.raises(grids.DomainError) as own:
+        collocation.solve_collocation(spec, 30)
+    assert str(own.value).endswith("(collocation node 1)")
+    with pytest.raises(grids.DomainError) as batched:
+        study.run_study(spec, n_ladder=[30, 5, 12, 7])
+    assert str(batched.value) == str(own.value)
+    assert batched.value.index == own.value.index
+    with pytest.raises(grids.DomainError) as built:
+        collocation.delay_map(spec, *(grids.UniformGrid(n) for n in (5, 7, 12, 30)))
+    assert str(built.value) == str(own.value)
+
+
+def test_run_study_refuses_fit_min_n_above_the_ladder(monkeypatch):
+    seen = ladder_solves(monkeypatch)
+    with pytest.raises(ValueError, match=r"^fit_min_n=100000 exceeds the largest "
+                                         r"N=1024: no rung would enter the fit$"):
+        study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=100000)
+    assert seen == []
+    # at the largest N, the one rung is fitted no order, as before
+    report = study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=1024)
+    assert math.isnan(report.fitted_order)
+
+
 def test_run_study_falls_back_to_the_spec_exact_solution():
     spec = problem.paradise_fish(0.0, 0.2)
     own = study.run_study(spec, n_ladder=LADDER)
@@ -124,7 +221,7 @@ def test_run_study_falls_back_to_the_spec_exact_solution():
 
 def test_run_study_refuses_invalid_problem_before_any_rung(monkeypatch):
     solved = []
-    monkeypatch.setattr(study, "_solve", lambda p, n: solved.append(n))
+    monkeypatch.setattr(study, "_solve_ladder", lambda p, ns: solved.append(ns))
     spec = replace(problem.paradise_fish(0.0, 0.2), phi=constant(1.5))
     with pytest.raises(problem.ProblemValidationError) as info:
         study.run_study(spec, exact=product_solution(0.2), n_ladder=LADDER)

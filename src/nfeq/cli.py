@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, collocation, grids, holder, picard, problem, study, svgplot
+from . import __version__, collocation, grids, holder, picard, problem, study
 from .functions import eval_on
 from .oracles import cusp_solution, manufacture, smooth_parabola
 
@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_problem_flags(p_solve)
     p_solve.add_argument("--n", type=int, default=64)
     p_solve.add_argument("--output-csv", default=None)
-    p_solve.add_argument("--output-svg", default=None)
     p_solve.add_argument("--stats", action="store_true",
                          help="print assembly stats as key=value")
 
@@ -70,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--smoothness-k", type=int, choices=[0, 1], default=0)
     p_study.add_argument("--fit-min-n", type=int, default=study.DEFAULT_FIT_MIN_N)
     p_study.add_argument("--output-csv", default=None)
-    p_study.add_argument("--output-svg", default=None)
 
     p_interp = sub.add_parser("interp-check",
                               help="projector norm and interpolation-error checks")
@@ -214,14 +212,6 @@ def _cmd_solve(args) -> int:
     if args.output_csv:
         grids.write_csv(sol.solution, args.output_csv)
         print(f"wrote {args.output_csv}")
-    if args.output_svg:
-        ts = np.linspace(0.0, 1.0, 513)
-        series = [(f"collocation N={args.n}", ts, sol.solution.evaluate(ts))]
-        if exact is not None:
-            series.append((exact.label, ts, eval_on(exact, ts)))
-        svgplot.write_svg(args.output_svg, series, log=False, title="solution",
-                          xlabel="t", ylabel="f(t)")
-        print(f"wrote {args.output_svg}")
     return EXIT_OK
 
 
@@ -291,13 +281,6 @@ def _cmd_study(args) -> int:
     if args.output_csv:
         study.write_report_csv(report, args.output_csv)
         print(f"wrote {args.output_csv}")
-    if args.output_svg:
-        hs = [r.h for r in report.ladder]
-        es = [r.sup_error for r in report.ladder]
-        svgplot.write_svg(args.output_svg, [(report.problem_label, hs, es)],
-                          log=True, title="convergence study", xlabel="h",
-                          ylabel="error", reference_slope=report.theory_order)
-        print(f"wrote {args.output_svg}")
     if report.failure:
         _err(report.failure)
         return EXIT_NUMERICAL

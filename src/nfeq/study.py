@@ -84,8 +84,8 @@ def run_study(problem, exact: FunctionHandle | None = None,
     block-diagonal system (``collocation._solve_ladder``): each rung's
     solution, condition and stats are those of ``solve_collocation`` on its
     own N. A solver failure on a rung leaves a partial ladder with the
-    failure recorded. A ``fit_min_n`` above the largest N, which would leave
-    no rung to fit, raises ValueError.
+    failure recorded. A ``fit_min_n`` above the second largest N, which
+    would leave fewer than two rungs to fit, raises ValueError.
     """
     spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
     label = label or getattr(problem, "description", "problem")
@@ -97,9 +97,9 @@ def run_study(problem, exact: FunctionHandle | None = None,
         raise ValueError(f"ladder needs at least 4 entries, got {len(ladder)}")
     if ladder[0] < 2:
         raise ValueError(f"every rung needs N >= 2, got {ladder[0]}")
-    if fit_min_n > ladder[-1]:
-        raise ValueError(f"fit_min_n={fit_min_n} exceeds the largest N={ladder[-1]}: "
-                         "no rung would enter the fit")
+    if fit_min_n > ladder[-2]:
+        raise ValueError(f"fit_min_n={fit_min_n} leaves fewer than 2 rungs to fit: "
+                         f"it can be at most N={ladder[-2]}")
 
     ts = error_sample_points(m)
     exact_vals = eval_on(exact, ts)

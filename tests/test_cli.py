@@ -188,12 +188,17 @@ def test_solve_fallback_stats(capsys):
     assert 0 < int(fields["sweeps"]) <= 10
 
 
-def test_solve_svg_output(tmp_path, capsys):
-    path = tmp_path / "sol.svg"
-    code, _, _ = run(["solve", "--problem", "cusp", "--gamma", "0.5",
-                      "--n", "32", "--output-svg", str(path)], capsys)
-    assert code == 0
-    assert path.read_text().startswith("<svg")
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_svg_flag_is_gone(command, tmp_path, capsys):
+    # SVG output was removed: the CSVs carry the same data
+    path = tmp_path / "out.svg"
+    code, out, err = run([command, "--problem", "cusp", "--output-svg", str(path)],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == ("nfeq: error: unrecognized arguments: "
+                                    f"--output-svg {path}")
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +249,23 @@ def test_picard_infinite_tolerance(capsys):
 
 def test_study_cusp_outputs(tmp_path, capsys):
     csv_path = tmp_path / "study.csv"
-    svg_path = tmp_path / "study.svg"
     code, out, _ = run(["study", "--problem", "cusp", "--gamma", "0.5",
                         "--alpha", "0.02", "--nmin", "16", "--nmax", "128",
                         "--error-samples", "1025",
-                        "--output-csv", str(csv_path),
-                        "--output-svg", str(svg_path)], capsys)
+                        "--output-csv", str(csv_path)], capsys)
     assert code == 0
     assert "fitted_order=" in out
     fitted = float(out.split("fitted_order=")[1].split()[0])
     assert fitted == pytest.approx(0.5, abs=0.15)
-    assert csv_path.exists() and svg_path.exists()
+    printed = [float(line.split("error=")[1].split()[0])
+               for line in out.splitlines() if line.startswith("N=")]
+    header, *rows = csv_path.read_text().splitlines()
+    assert header == "N,h,error,runtime"
+    assert [int(row.split(",")[0]) for row in rows] == [16, 32, 64, 128]
+    for row, shown in zip(rows, printed, strict=True):
+        n, h, error, _ = row.split(",")
+        assert float(h) == 1.0 / int(n)
+        assert f"{float(error):.6e}" == f"{shown:.6e}"
 
 
 def test_study_requires_exact_solution(capsys):
@@ -283,11 +294,13 @@ def test_study_target_applies_to_cusp(capsys):
 
 
 def test_study_refuses_fit_min_n_above_nmax(capsys):
-    code, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
-                          "--fit-min-n", "100000"], capsys)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert "fit_min_n=100000 exceeds the largest N=256" in err
+    # at N = nmax too, one rung would enter the fit
+    for fit_min_n in ("100000", "256"):
+        code, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
+                              "--fit-min-n", fit_min_n], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"nfeq: fit_min_n={fit_min_n} leaves fewer than 2 rungs to "
+                       "fit: it can be at most N=128\n")
 
 
 # ---------------------------------------------------------------------------

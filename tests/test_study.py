@@ -145,7 +145,7 @@ def test_run_study_solves_every_rung_as_solve_collocation(case, ladder, monkeypa
             "product": lambda: problem.paradise_fish(0.0, 0.2),
             "paradise-slow": lambda: problem.paradise_fish(0.05, 0.8)}[case]()
     seen = ladder_solves(monkeypatch)
-    report = study.run_study(spec, exact=constant(0.0), n_ladder=ladder)
+    report = study.run_study(spec, exact=constant(0.0), n_ladder=ladder, fit_min_n=5)
     assert report.failure is None
     [(solutions, failure, _)] = seen
     assert failure is None and [s.grid.n for s in solutions] == sorted(ladder)
@@ -190,7 +190,7 @@ def test_run_study_domain_error_names_the_later_rungs_own_node():
         collocation.solve_collocation(spec, 30)
     assert str(own.value).endswith("(collocation node 1)")
     with pytest.raises(grids.DomainError) as batched:
-        study.run_study(spec, n_ladder=[30, 5, 12, 7])
+        study.run_study(spec, n_ladder=[30, 5, 12, 7], fit_min_n=5)
     assert str(batched.value) == str(own.value)
     assert batched.value.index == own.value.index
     with pytest.raises(grids.DomainError) as built:
@@ -199,14 +199,18 @@ def test_run_study_domain_error_names_the_later_rungs_own_node():
 
 
 def test_run_study_refuses_fit_min_n_above_the_ladder(monkeypatch):
+    # fewer than two rungs at or above fit_min_n could fit no order
     seen = ladder_solves(monkeypatch)
-    with pytest.raises(ValueError, match=r"^fit_min_n=100000 exceeds the largest "
-                                         r"N=1024: no rung would enter the fit$"):
-        study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=100000)
+    for fit_min_n in (100000, 1025, 1024, 513):
+        with pytest.raises(ValueError, match=rf"^fit_min_n={fit_min_n} leaves fewer "
+                                             r"than 2 rungs to fit: it can be at most "
+                                             r"N=512$"):
+            study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=fit_min_n)
     assert seen == []
-    # at the largest N, the one rung is fitted no order, as before
-    report = study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=1024)
-    assert math.isnan(report.fitted_order)
+    # the two largest rungs still fit an order
+    report = study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=512)
+    assert math.isfinite(report.fitted_order)
+    assert report.notes == ["excluded 5 pre-asymptotic rungs (N < 512)"]
 
 
 def test_run_study_falls_back_to_the_spec_exact_solution():
@@ -262,7 +266,8 @@ def test_run_study_records_solver_failure():
     bad = problem.ProblemSpec(phi=constant(1.0), phi1=identity(), phi2=identity(),
                               source=constant(0.0), boundary_left=0.0,
                               boundary_right=1.0, gamma=1.0)
-    report = study.run_study(bad, exact=identity(), n_ladder=[2, 4, 8, 16], m=65)
+    report = study.run_study(bad, exact=identity(), n_ladder=[2, 4, 8, 16], m=65,
+                             fit_min_n=2)
     assert report.failure is not None and "N=2" in report.failure
     assert report.ladder == []
     assert math.isnan(report.fitted_order)
@@ -307,6 +312,7 @@ def test_summary_line_mentions_partial_failure():
     bad = problem.ProblemSpec(phi=constant(1.0), phi1=identity(), phi2=identity(),
                               source=constant(0.0), boundary_left=0.0,
                               boundary_right=1.0, gamma=1.0)
-    report = study.run_study(bad, exact=identity(), n_ladder=[2, 4, 8, 16], m=65)
+    report = study.run_study(bad, exact=identity(), n_ladder=[2, 4, 8, 16], m=65,
+                             fit_min_n=2)
     line = study.summary_line(report)
     assert "partial" in line

@@ -266,8 +266,8 @@ def _cmd_study(args) -> int:
             else cusp_solution(args.gamma)
         spec = _manufacture_on(spec, target)
     if spec.exact is None:
-        raise ValueError("study needs an exact solution: use --problem cusp, "
-                         "--target, or --problem paradise --alpha 0")
+        raise ValueError("study needs an exact solution: use --problem cusp, --target, "
+                         "or --problem paradise with --alpha 0 and 0 < --beta < 1")
     report = study.run_study(spec, n_ladder=_ladder(args.nmin, args.nmax),
                              m=args.error_samples, fit_min_n=args.fit_min_n,
                              smoothness_k=args.smoothness_k,

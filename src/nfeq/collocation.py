@@ -20,12 +20,12 @@ SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
 for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
 factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
 B is a ``DelayMap``, a plain CSR triple whose ``b @ x`` runs scipy's
-compiled kernel ``csr_matvec``. ``load_sparse`` loads the kernel's module,
-private to scipy, by file (about 0.2 MiB and 1 ms) rather than all of
-scipy.sparse (20 MiB, 0.2 s); a test checks that it is the module a later
-``import scipy.sparse`` uses. Importing this module loads no scipy, and
-only the SuperLU fallback imports scipy.sparse and ``nfeq.linalg`` (about
-30 MiB and 0.25 s). Both loads run outside every timer the package reports.
+compiled kernel ``csr_matvec``, bound when this module is imported:
+``load_sparse`` loads the kernel's module, private to scipy, by file (about
+0.2 MiB and 0.5 ms) rather than all of scipy.sparse (20 MiB, 0.2 s); a test
+checks that it is the module a later ``import scipy.sparse`` uses. Only the
+SuperLU fallback imports scipy.sparse and ``nfeq.linalg`` (about 30 MiB and
+0.25 s), outside every timer the package reports.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
 one matvec with the B they were solved with.
@@ -41,7 +41,6 @@ import importlib.util
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -67,22 +66,15 @@ W = 0.01
 #: temporaries are 128 KiB per array, where whole-array ones at N = 2^18
 #: page-fault on every build (2^13 to 2^15 rows measured within 10%)
 DELAY_BLOCK_ROWS = 2 ** 14
-
-
 #: the extension module of scipy's CSR kernels, loaded without scipy.sparse
 KERNEL_MODULE = "scipy.sparse._sparsetools"
 
 
-def load_sparse() -> None:
-    """Bind scipy's CSR kernel to ``csr_matvec``. Its module is loaded once
-    by file, without scipy.sparse's ``__init__``, and registered under its
-    own name: a later ``import scipy.sparse`` reuses it, as this does one
-    registered before. Where no extension file is found there (a scipy
-    whose compiled modules are not beside its sources, as in an editable
-    meson-python build, which loads them from its build directory), the
-    module is imported through scipy.sparse, with a RuntimeWarning naming
-    the directory searched. A caller that times a solve calls this first."""
-    global csr_matvec
+def load_sparse():
+    """The module of scipy's CSR kernels, loaded by file without
+    scipy.sparse's ``__init__`` and registered under its own name, so a later
+    ``import scipy.sparse`` reuses it; one registered before is reused. No
+    extension file there raises ImportError naming the directory searched."""
     module = sys.modules.get(KERNEL_MODULE)
     if module is None:
         scipy = importlib.util.find_spec("scipy")  # imports nothing
@@ -90,20 +82,14 @@ def load_sparse() -> None:
         spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
             KERNEL_MODULE)
         if spec is None:
-            warnings.warn(f"no {KERNEL_MODULE} extension in {where}: importing it "
-                          "through scipy.sparse", RuntimeWarning, stacklevel=2)
-            module = importlib.import_module(KERNEL_MODULE)
-        else:
-            module = sys.modules[KERNEL_MODULE] = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-    csr_matvec = module.csr_matvec
+            raise ImportError(f"no {KERNEL_MODULE} extension in {where}", name=KERNEL_MODULE)
+        module = sys.modules[KERNEL_MODULE] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
-def csr_matvec(*args) -> None:
-    """Stand-in for scipy's CSR kernel y += B x until ``load_sparse`` binds
-    the kernel to this name, so ``sweep`` calls it without an import."""
-    load_sparse()
-    csr_matvec(*args)
+#: scipy's CSR kernel y += B x, which ``sweep`` calls without an import
+csr_matvec = load_sparse().csr_matvec
 
 
 class CollocationError(ArithmeticError):
@@ -191,7 +177,6 @@ def delay_map(p: ProblemSpec, *grids: UniformGrid) -> tuple[DelayMap, np.ndarray
     ns = [grid.n for grid in grids]
     if min(ns) < 2:
         raise ValueError(f"need at least 2 subintervals, got {min(ns)}")
-    load_sparse()
     counts = [n - 1 for n in ns]
     rows_total = sum(counts)
     # 32-bit indices shrink B and speed up its matvec wherever they fit
@@ -410,7 +395,7 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     then solves the one-rung ladder of ``_solve_ladder``.
     """
     validate(p)
-    solutions, failure, _ = _solve_ladder(p, [n])
+    solutions, failure = _solve_ladder(p, [n])
     if failure is not None:
         raise failure
     return solutions[0]
@@ -467,29 +452,25 @@ def _solve_ladder(p: ProblemSpec, ns: list[int]):
     ascending N, each from its own rows of B. Each rung's condition and
     residual gate come from the same B. The ladder stops at the first rung
     whose solve raises CollocationError. Returns (the solutions of the rungs
-    before it, that error or None, the seconds of the whole solve without
-    SuperLU's import). A rung's stats time its row share (N - 1) / T of the
-    build and of the sweeps, plus its own fallback.
+    before it, that error or None). A rung's stats time its row share
+    (N - 1) / T of the build and of the sweeps, plus its own fallback; the
+    residual gate and the condition are in no timer.
     """
     grids = [UniformGrid(n) for n in ns]
-    load_sparse()  # the first solve in a process pays it, untimed
     t0 = time.perf_counter()
     b, k = delay_map(p, *grids)  # B >= 0, or it raised DomainError
     t1 = time.perf_counter()
-    starts = [0]
-    for n in ns[:-1]:
-        starts.append(starts[-1] + n - 1)
+    starts = np.cumsum([0] + [n - 1 for n in ns[:-1]]).tolist()
     swept = _certified_sweeps(p, b, k, starts)
     t2 = time.perf_counter()
 
-    solved, failure, imported = [], None, 0.0
+    solved, failure = [], None
     for n, start, (values, bound, sweeps) in zip(ns, starts, swept):
         share = (n - 1) / b.shape[0]
         nonzeros, solver, import_time = 4 * (n - 1), "sweep", 0.0
         assembly_time, solve_time = share * (t1 - t0), share * (t2 - t1)
         if values is None:
             linalg, import_time = _load_linalg()  # only a fallback pays, untimed
-            imported += import_time
             own = b if len(ns) == 1 else _rung_map(b, start, start + n - 1)
             try:
                 values, bound, nonzeros, build, solve = _superlu(
@@ -521,4 +502,4 @@ def _solve_ladder(p: ProblemSpec, ns: list[int]):
         solutions.append(CollocationSolution(
             solution=PiecewiseLinear(grid=grid, values=values), grid=grid,
             condition=norms[r] * bound, stats=stats))
-    return solutions, failure, time.perf_counter() - t0 - imported
+    return solutions, failure

@@ -36,10 +36,8 @@ def error_sample_points(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LadderRung:
-    """``runtime`` is the rung's row share (N - 1) / T of the whole ladder's
-    solve, T the rows of all rungs, plus its own sup-error measurement. The
-    one-time loads and the problem's validation run before the solve's
-    clock, and the SuperLU import of a first fallback is taken out of it."""
+    """``runtime`` is the rung's own ``assembly_time + solve_time`` plus its
+    sup-error measurement: no one-time load and no validation is in it."""
 
     n: int
     h: float
@@ -85,7 +83,8 @@ def run_study(problem, exact: FunctionHandle | None = None,
     solution, condition and stats are those of ``solve_collocation`` on its
     own N. A solver failure on a rung leaves a partial ladder with the
     failure recorded. A ``fit_min_n`` above the second largest N, which
-    would leave fewer than two rungs to fit, raises ValueError.
+    would leave fewer than two rungs to fit, raises ValueError; so does an
+    ``m`` below the largest N, which would leave cells with no error sample.
     """
     spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
     label = label or getattr(problem, "description", "problem")
@@ -100,20 +99,22 @@ def run_study(problem, exact: FunctionHandle | None = None,
     if fit_min_n > ladder[-2]:
         raise ValueError(f"fit_min_n={fit_min_n} leaves fewer than 2 rungs to fit: "
                          f"it can be at most N={ladder[-2]}")
+    if m < ladder[-1]:
+        raise ValueError(f"m={m} error samples leave cells of N={ladder[-1]} "
+                         f"unsampled: m must be at least {ladder[-1]}")
 
     ts = error_sample_points(m)
     exact_vals = eval_on(exact, ts)
 
     validate(spec)  # depends on no N, so once for every rung
-    solutions, failure, seconds = _solve_ladder(spec, ladder)
-    rows = sum(n - 1 for n in ladder)
+    solutions, failure = _solve_ladder(spec, ladder)
     rungs: list[LadderRung] = []
     notes: list[str] = []
     for sol in solutions:
         n = sol.grid.n
         t0 = time.perf_counter()
         err = float(np.abs(sol.solution.evaluate(ts) - exact_vals).max())
-        runtime = (n - 1) / rows * seconds + (time.perf_counter() - t0)
+        runtime = sol.stats.assembly_time + sol.stats.solve_time + (time.perf_counter() - t0)
         rungs.append(LadderRung(n=n, h=1.0 / n, sup_error=err, runtime=runtime))
     if failure is not None:
         failure = f"N={ladder[len(solutions)]}: {failure}"

@@ -274,6 +274,29 @@ def test_study_requires_exact_solution(capsys):
     assert "exact solution" in err
 
 
+def test_study_hint_names_the_family_range_with_an_exact_solution(capsys):
+    # paradise at alpha = 0 has an exact solution only for 0 < beta < 1,
+    # so the hint must not just repeat --alpha 0
+    code, out, err = run(["study", "--problem", "paradise", "--alpha", "0",
+                          "--beta", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("nfeq: study needs an exact solution: use --problem cusp, --target, "
+                   "or --problem paradise with --alpha 0 and 0 < --beta < 1\n")
+
+
+@pytest.mark.parametrize("samples, code", [("255", 1), ("256", 0)])
+def test_study_error_samples_must_reach_every_cell(samples, code, capsys):
+    result, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
+                            "--error-samples", samples], capsys)
+    assert result == code
+    if code:
+        assert out == ""
+        assert err == ("nfeq: m=255 error samples leave cells of N=256 unsampled: "
+                       "m must be at least 256\n")
+    else:
+        assert "fitted_order=" in out
+
+
 def test_study_paradise_at_alpha_zero_needs_no_flag(capsys):
     code, out, err = run(["study", "--problem", "paradise", "--alpha", "0",
                           "--nmin", "16", "--nmax", "128"], capsys)

@@ -379,8 +379,8 @@ def test_ladder_sweeps_a_rung_only_while_a_rung_at_or_above_it_is_live(monkeypat
     real = collocation.sweep
     monkeypatch.setattr(collocation, "sweep", lambda b, k, *args: calls.append(
         (b.shape[0], np.ndim(k))) or real(b, k, *args))
-    solutions, failure, _ = collocation._solve_ladder(problem.paradise_fish(0.05, 0.8),
-                                                      ladder)
+    solutions, failure = collocation._solve_ladder(problem.paradise_fish(0.05, 0.8),
+                                                   ladder)
     assert failure is None
     sweeps = [sol.stats.sweeps for sol in solutions]
     assert sweeps[0] == 105
@@ -545,21 +545,16 @@ def test_delay_map_matmul_checks_the_shape():
 
 
 def test_sweep_calls_the_kernel_without_importing():
-    # the kernel is bound at module level once a delay map exists: a sweep
-    # runs no import statement
-    collocation.delay_map(_cusp_problem(), grids.UniformGrid(4))
+    # the kernel is bound when the module is imported: a sweep runs no
+    # import statement
     assert collocation.csr_matvec is _sparsetools.csr_matvec
     ops = {ins.opname for ins in dis.get_instructions(collocation.sweep)}
     assert not ops & {"IMPORT_NAME", "IMPORT_FROM"}
 
 
-def test_kernel_without_extension_file_imports_through_scipy_sparse(monkeypatch):
-    # where the file finder finds no extension, load_sparse imports the
-    # kernel module through the package with one warning naming the
-    # directory searched, and the sweep solves as before
-    p = _cusp_problem()
-    expected = collocation.solve_collocation(p, 64)
-
+def test_kernel_without_extension_file_raises_import_error(monkeypatch):
+    # where the file finder finds no extension, load_sparse raises one
+    # ImportError naming the directory searched, and imports nothing
     class NoExtension:
         def __init__(self, path, *loader_details):
             pass
@@ -569,20 +564,12 @@ def test_kernel_without_extension_file_imports_through_scipy_sparse(monkeypatch)
 
     monkeypatch.setattr(collocation, "FileFinder", NoExtension)
     monkeypatch.delitem(sys.modules, collocation.KERNEL_MODULE)
-    # the package import rebinds these two: restore them after the test
-    monkeypatch.setattr(collocation, "csr_matvec", collocation.csr_matvec)
-    monkeypatch.setattr(sparse, "_sparsetools", _sparsetools)
-    with pytest.warns(RuntimeWarning) as record:
-        sol = collocation.solve_collocation(p, 64)
-    assert len(record) == 1
     where = os.path.dirname(sparse.__file__)
-    assert str(record[0].message) == (f"no {collocation.KERNEL_MODULE} extension in "
-                                      f"{where}: importing it through scipy.sparse")
-    assert collocation.KERNEL_MODULE in sys.modules
-    assert sol.stats.solver == "sweep"
-    assert sol.stats.sweeps == expected.stats.sweeps
-    assert sol.condition == expected.condition
-    assert np.array_equal(sol.solution.values, expected.solution.values)
+    with pytest.raises(ImportError) as info:
+        collocation.load_sparse()
+    assert str(info.value) == f"no {collocation.KERNEL_MODULE} extension in {where}"
+    assert info.value.name == collocation.KERNEL_MODULE
+    assert collocation.KERNEL_MODULE not in sys.modules
 
 
 def test_sweep_allocates_nothing_of_iterate_size():
@@ -772,7 +759,6 @@ problem.residual(cusp.problem, cusp.exact)
 assert cli.main(["certify", "--problem", "cusp"]) == 0
 assert cli.main(["interp-check", "--gamma", "0.5", "--trials", "5"]) == 0
 assert "scipy.sparse" not in sys.modules, "the analysis paths loaded scipy.sparse"
-assert collocation.KERNEL_MODULE not in sys.modules
 
 collocation.solve_collocation(cusp.problem, 16)
 grid = grids.UniformGrid(64)
@@ -785,8 +771,24 @@ assert "scipy.sparse" not in sys.modules, "the sweep path loaded scipy.sparse"
 
 def test_analysis_paths_leave_scipy_sparse_unloaded():
     # import nfeq, certify, the projector norm and the exact recursion need
-    # no linear algebra, and the sweep path loads scipy's CSR kernel alone
+    # no linear algebra, and the sweep path needs scipy's CSR kernel alone
     run_fresh(LEAN_ANALYSIS)
+
+
+KERNEL_AT_IMPORT = """
+import sys
+import nfeq
+from nfeq import collocation
+
+assert collocation.csr_matvec is sys.modules["scipy.sparse._sparsetools"].csr_matvec
+assert "scipy.sparse" not in sys.modules
+"""
+
+
+def test_import_binds_the_kernel_without_scipy_sparse():
+    # import nfeq binds scipy's CSR kernel, loaded by file, and nothing else
+    # of scipy.sparse
+    run_fresh(KERNEL_AT_IMPORT)
 
 
 SLOW_LINALG_IMPORT = """
@@ -836,8 +838,6 @@ def test_fallback_import_is_not_in_rung_runtime():
 
 SLOW_KERNEL_LOAD = """
 import sys, time
-from nfeq import collocation, problem, study
-from nfeq.oracles import cusp_solution, manufacture
 
 
 class SlowKernel:
@@ -852,6 +852,9 @@ class SlowKernel:
 
 
 sys.meta_path.insert(0, SlowKernel())
+from nfeq import collocation, problem, study
+from nfeq.oracles import cusp_solution, manufacture
+
 if sys.argv[1] == "solve":
     stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.2), 64).stats
     assert stats.solver == "sweep", stats
@@ -868,19 +871,19 @@ assert collocation.KERNEL_MODULE in sys.modules
 
 @pytest.mark.parametrize("first", ["solve", "study"])
 def test_sparse_import_is_not_timed(first):
-    # a 0.5 s load of the CSR kernel in a fresh interpreter must show in
-    # neither stats timer of the first solve, nor in the first rung's runtime
+    # a 0.5 s load of the CSR kernel when a fresh interpreter imports nfeq
+    # must show in neither stats timer of the first solve, nor in the first
+    # rung's runtime
     run_fresh(SLOW_KERNEL_LOAD, first)
 
 
 KERNEL_IDENTITY = """
 import sys
+if sys.argv[1] == "before":
+    import scipy.sparse
 import numpy as np
 from nfeq import collocation, grids, problem
 
-if sys.argv[1] == "before":
-    import scipy.sparse
-collocation.delay_map(problem.paradise_fish(0.05, 0.2), grids.UniformGrid(16))
 if sys.argv[1] == "after":
     assert "scipy.sparse" not in sys.modules
     import scipy.sparse
@@ -900,7 +903,7 @@ assert np.array_equal(sol.solution.values[1:-1], lu.solve(rhs))
 
 @pytest.mark.parametrize("order", ["before", "after"])
 def test_kernel_is_scipy_sparse_own(order):
-    # whether scipy.sparse is imported before or after the kernel is loaded
+    # whether scipy.sparse is imported before or after nfeq loads the kernel
     # by file, both share one kernel module, and SuperLU still solves
     run_fresh(KERNEL_IDENTITY, order)
 

@@ -147,7 +147,7 @@ def test_run_study_solves_every_rung_as_solve_collocation(case, ladder, monkeypa
     seen = ladder_solves(monkeypatch)
     report = study.run_study(spec, exact=constant(0.0), n_ladder=ladder, fit_min_n=5)
     assert report.failure is None
-    [(solutions, failure, _)] = seen
+    [(solutions, failure)] = seen
     assert failure is None and [s.grid.n for s in solutions] == sorted(ladder)
     for sol in solutions:
         ref = collocation.solve_collocation(spec, sol.grid.n)
@@ -167,14 +167,40 @@ def test_run_study_singular_problem_fails_at_its_first_rung():
     assert report.failure == f"N=16: {exc.value}"
 
 
-def test_run_study_runtime_is_the_row_share_of_the_ladder_solve(monkeypatch):
+def fallback_manufactured():
+    """A parabola on paradise at beta = 0.8: on [16, 64, 256, 1024] N = 16
+    sweeps and the rest fall back to SuperLU."""
+    base = problem.paradise_fish(0.05, 0.8)
+    return manufacture(smooth_parabola(), base.phi, base.phi1, base.phi2, base.gamma)
+
+
+@pytest.mark.parametrize("case", ["cusp", "fallback"])
+def test_run_study_runtime_is_at_least_the_rungs_own_stats(case, monkeypatch):
     seen = ladder_solves(monkeypatch)
-    report = study.run_study(cusp_manufactured(), n_ladder=LADDER)
-    [(_, _, seconds)] = seen
-    rows = sum(n - 1 for n in LADDER)
-    for rung in report.ladder:
+    if case == "cusp":
+        report = study.run_study(cusp_manufactured(), n_ladder=LADDER)
+    else:
+        report = study.run_study(fallback_manufactured(), n_ladder=[16, 64, 256, 1024])
+    [(solutions, _)] = seen
+    if case == "fallback":
+        assert [s.stats.solver for s in solutions] == ["sweep"] + 3 * ["superlu"]
+    for rung, sol in zip(report.ladder, solutions, strict=True):
         # the rest is the rung's own error measurement
-        assert rung.runtime > (rung.n - 1) / rows * seconds > 0.0
+        assert rung.runtime >= sol.stats.assembly_time + sol.stats.solve_time > 0.0
+
+
+def test_run_study_runtime_is_the_stats_sum_plus_the_error_measurement(monkeypatch):
+    # no other clock enters a rung's runtime: stats of 1 s and 2 s read
+    # 3 s plus a measurement that takes well under 0.5 s
+    def fixed(p, ns):
+        solutions, failure = collocation._solve_ladder(p, ns)
+        return [replace(sol, stats=replace(sol.stats, assembly_time=1.0, solve_time=2.0))
+                for sol in solutions], failure
+
+    monkeypatch.setattr(study, "_solve_ladder", fixed)
+    report = study.run_study(cusp_manufactured(), n_ladder=LADDER)
+    assert [r.n for r in report.ladder] == LADDER
+    assert all(3.0 <= r.runtime < 3.5 for r in report.ladder)
 
 
 def test_run_study_domain_error_names_the_later_rungs_own_node():
@@ -211,6 +237,21 @@ def test_run_study_refuses_fit_min_n_above_the_ladder(monkeypatch):
     report = study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=512)
     assert math.isfinite(report.fitted_order)
     assert report.notes == ["excluded 5 pre-asymptotic rungs (N < 512)"]
+
+
+def test_run_study_refuses_error_samples_below_the_largest_n(monkeypatch):
+    # m midpoint samples 1/m apart leave a cell of N = 1024 unsampled when
+    # m < 1024; at m = 1024 each cell holds its own midpoint
+    seen = ladder_solves(monkeypatch)
+    for m in (1, 1023):
+        with pytest.raises(ValueError, match=rf"^m={m} error samples leave cells of "
+                                             r"N=1024 unsampled: m must be at least "
+                                             r"1024$"):
+            study.run_study(cusp_manufactured(), n_ladder=LADDER, m=m)
+    assert seen == []
+    report = study.run_study(cusp_manufactured(), n_ladder=LADDER, m=1024)
+    assert report.failure is None and len(report.ladder) == len(LADDER)
+    assert math.isfinite(report.fitted_order)
 
 
 def test_run_study_falls_back_to_the_spec_exact_solution():

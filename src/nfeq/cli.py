@@ -1,14 +1,22 @@
-"""Command-line front end: solve, certify, picard, study, interp-check."""
+"""Command-line front end: solve, certify, picard, study, interp-check.
+
+One argparse parser reads every input. ``@path`` stands for the shell words
+in path (``#`` starts a comment), read in place, so later arguments win and
+the file may hold the subcommand. A usage or input error ends in one
+``nfeq: ...`` stderr line and exit 1; ``--help`` and ``--version`` exit 0.
+"""
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import shlex
 import sys
+from typing import NoReturn
 
 import numpy as np
 
 from . import __version__, collocation, grids, holder, picard, problem, study
-from .functions import eval_on
+from .functions import constant, eval_on
 from .oracles import cusp_solution, manufacture, smooth_parabola
 
 EXIT_OK = 0
@@ -20,9 +28,25 @@ def _err(msg: str) -> None:
     print(f"nfeq: {msg}", file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Option-file lines split as shell words, and files do not nest (one
+    that named itself would recurse without end); a usage error raises
+    ValueError, which ``main`` prints as one line like any other."""
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        words = shlex.split(arg_line, comments=True)
+        for word in words:
+            if word.startswith("@"):
+                raise ValueError(f"an option file cannot name another: {word}")
+        return words
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfeq",
+    parser = _Parser(
+        prog="nfeq", fromfile_prefix_chars="@",
         description="Collocation and fixed-point solvers for nonlocal "
                     "functional equations with vanishing delays.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -40,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi1-csv", default=None)
         p.add_argument("--phi2-csv", default=None)
         p.add_argument("--source-csv", default=None)
-        p.add_argument("--config", default=None,
-                       help="key=value file; values override flags")
 
     p_solve = sub.add_parser("solve", help="solve by collocation")
     add_problem_flags(p_solve)
@@ -77,53 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--trials", type=int, default=50)
     p_interp.add_argument("--seed", type=int, default=0)
     p_interp.add_argument("--samples", type=int, default=holder.DEFAULT_SAMPLES)
-    p_interp.add_argument("--config", default=None)
     return parser
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _coerce(action: argparse.Action, raw: str):
-    """A config value converted as its flag would be: by the action's type
-    and choices, or as one of the _BOOLEANS for an on/off flag."""
-    if isinstance(action.default, bool):
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
-    try:
-        value = action.type(raw) if action.type is not None else raw
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid {action.type.__name__} value {raw!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"invalid choice {raw!r} (expected one of "
-                         f"{', '.join(map(str, action.choices))})")
-    return value
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            attr = key.replace("-", "_")
-            if attr not in actions:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            try:
-                value = _coerce(actions[attr], raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-            setattr(args, attr, value)
 
 
 _FAMILY_DEFAULTS = {
@@ -149,14 +125,11 @@ def _custom_problem(args) -> problem.ProblemSpec:
     if missing:
         raise ValueError("custom problem needs --phi-csv, --phi1-csv and "
                          f"--phi2-csv (missing {', '.join(missing)})")
-    phi = grids.read_csv(args.phi_csv)
-    phi1 = grids.read_csv(args.phi1_csv)
-    phi2 = grids.read_csv(args.phi2_csv)
+    phi, phi1, phi2 = (grids.read_csv(path) for path in needed.values())
     if args.source_csv:
         source = grids.read_csv(args.source_csv)
         boundary = (0.0, 0.0)
     else:
-        from .functions import constant
         source = constant(0.0, "0")
         boundary = (0.0, 1.0)
     return problem.ProblemSpec(phi=phi, phi1=phi1, phi2=phi2, source=source,
@@ -288,8 +261,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_interp_check(args) -> int:
-    if not 0.0 < args.gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {args.gamma}")
+    cusp = cusp_solution(args.gamma)
     rng = np.random.default_rng(args.seed)
     grid = grids.UniformGrid(args.n)
     trials = grids.random_cusp_trials(rng, args.trials, args.gamma)
@@ -299,7 +271,6 @@ def _cmd_interp_check(args) -> int:
     print(f"projector norm ratio={ratio:.6f} bound={bound:.6f} "
           f"{'PASS' if ok else 'FAIL'} ({args.trials} trials, N={args.n})")
 
-    cusp = cusp_solution(args.gamma)
     sup_err = grids.interp_sup_error(cusp, grid)
     bound_sup = grids.sup_error_bound(1.0, args.gamma, 0, grid.h)
     ok_sup = sup_err <= bound_sup
@@ -318,14 +289,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        _apply_config(args, parser)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # only --help and --version leave the parse this way
+        return exc.code
     except (collocation.CollocationError, study.FitError) as exc:
         _err(str(exc))
         return EXIT_NUMERICAL

@@ -85,6 +85,8 @@ def run_study(problem, exact: FunctionHandle | None = None,
     failure recorded. A ``fit_min_n`` above the second largest N, which
     would leave fewer than two rungs to fit, raises ValueError; so does an
     ``m`` below the largest N, which would leave cells with no error sample.
+    Both messages name the parameter by its ``nfeq study`` flag,
+    ``--fit-min-n`` or ``--error-samples``.
     """
     spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
     label = label or getattr(problem, "description", "problem")
@@ -97,11 +99,11 @@ def run_study(problem, exact: FunctionHandle | None = None,
     if ladder[0] < 2:
         raise ValueError(f"every rung needs N >= 2, got {ladder[0]}")
     if fit_min_n > ladder[-2]:
-        raise ValueError(f"fit_min_n={fit_min_n} leaves fewer than 2 rungs to fit: "
+        raise ValueError(f"--fit-min-n {fit_min_n} leaves fewer than 2 rungs to fit: "
                          f"it can be at most N={ladder[-2]}")
     if m < ladder[-1]:
-        raise ValueError(f"m={m} error samples leave cells of N={ladder[-1]} "
-                         f"unsampled: m must be at least {ladder[-1]}")
+        raise ValueError(f"--error-samples {m} leaves cells of N={ladder[-1]} "
+                         f"unsampled: it must be at least {ladder[-1]}")
 
     ts = error_sample_points(m)
     exact_vals = eval_on(exact, ts)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,8 +164,7 @@ def test_oracle_flag_is_gone(command, capsys):
                           "--oracle", "smooth_parabola"], capsys)
     assert code == 1
     assert out == ""
-    assert err.splitlines()[-1] == ("nfeq: error: unrecognized arguments: "
-                                    "--oracle smooth_parabola")
+    assert err == "nfeq: unrecognized arguments: --oracle smooth_parabola\n"
 
 
 def test_solve_large_n_stats(capsys):
@@ -196,8 +197,7 @@ def test_svg_flag_is_gone(command, tmp_path, capsys):
                          capsys)
     assert code == 1
     assert out == ""
-    assert err.splitlines()[-1] == ("nfeq: error: unrecognized arguments: "
-                                    f"--output-svg {path}")
+    assert err == f"nfeq: unrecognized arguments: --output-svg {path}\n"
     assert not path.exists()
 
 
@@ -284,15 +284,16 @@ def test_study_hint_names_the_family_range_with_an_exact_solution(capsys):
                    "or --problem paradise with --alpha 0 and 0 < --beta < 1\n")
 
 
-@pytest.mark.parametrize("samples, code", [("255", 1), ("256", 0)])
+@pytest.mark.parametrize("samples, code", [("1", 1), ("255", 1), ("256", 0)])
 def test_study_error_samples_must_reach_every_cell(samples, code, capsys):
     result, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
                             "--error-samples", samples], capsys)
     assert result == code
     if code:
         assert out == ""
-        assert err == ("nfeq: m=255 error samples leave cells of N=256 unsampled: "
-                       "m must be at least 256\n")
+        # the message names the flag the user typed
+        assert err == (f"nfeq: --error-samples {samples} leaves cells of N=256 "
+                       "unsampled: it must be at least 256\n")
     else:
         assert "fitted_order=" in out
 
@@ -322,7 +323,7 @@ def test_study_refuses_fit_min_n_above_nmax(capsys):
         code, out, err = run(["study", "--problem", "cusp", "--nmax", "256",
                               "--fit-min-n", fit_min_n], capsys)
         assert code == 1 and out == ""
-        assert err == (f"nfeq: fit_min_n={fit_min_n} leaves fewer than 2 rungs to "
+        assert err == (f"nfeq: --fit-min-n {fit_min_n} leaves fewer than 2 rungs to "
                        "fit: it can be at most N=128\n")
 
 
@@ -337,6 +338,14 @@ def test_interp_check(capsys):
     assert out.count("PASS") == 2
 
 
+@pytest.mark.parametrize("gamma, shown", [("1", "1.0"), ("nan", "nan")])
+def test_interp_check_refuses_gamma_outside_the_open_interval(gamma, shown, capsys):
+    # the cusp's own check, before any projector trial runs
+    code, out, err = run(["interp-check", "--gamma", gamma], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"nfeq: gamma must lie in (0, 1), got {shown}\n"
+
+
 def test_interp_check_failed_bound_is_numerical(monkeypatch, capsys):
     monkeypatch.setattr(grids, "measure_projector_norm", lambda *a, **k: 10.0)
     code, out, _ = run(["interp-check", "--trials", "2", "--samples", "65"], capsys)
@@ -345,43 +354,96 @@ def test_interp_check_failed_bound_is_numerical(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config files and custom problems
+# option files and custom problems
 # ---------------------------------------------------------------------------
 
 def test_config_overrides_flags(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.1  # overrides the flag\n")
+    # an @file is read in place, so it overrides the flags before it
+    opts = tmp_path / "run.args"
+    opts.write_text("--alpha 0.1  # overrides the flag\n")
     code, out, _ = run(["certify", "--problem", "paradise", "--alpha", "0.05",
-                        "--beta", "0.2", "--gamma", "1",
-                        "--config", str(cfg)], capsys)
+                        "--beta", "0.2", "--gamma", "1", f"@{opts}"], capsys)
     assert code == 0
     assert "lipschitz_factor=0.6" in out
 
 
 def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnicate=1\n")
-    code, _, err = run(["certify", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert "unknown option" in err
+    opts = tmp_path / "run.args"
+    opts.write_text("--frobnicate 1\n")
+    code, out, err = run(["certify", f"@{opts}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "nfeq: unrecognized arguments: --frobnicate 1\n"
 
 
 def test_config_value_of_wrong_type(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=64.5\n")
-    code, _, err = run(["solve", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert err.count("\n") == 1
-    assert "n: invalid int value '64.5'" in err
+    opts = tmp_path / "run.args"
+    opts.write_text("--n 64.5\n")
+    code, out, err = run(["solve", f"@{opts}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "nfeq: argument --n: invalid int value: '64.5'\n"
 
 
 def test_config_unparseable_boolean(tmp_path, capsys):
+    # an on/off flag takes no value, in a file as on the command line
+    opts = tmp_path / "run.args"
+    opts.write_text("--stats=ture\n")
+    code, out, err = run(["solve", f"@{opts}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "nfeq: argument --stats: ignored explicit argument 'ture'\n"
+
+
+def test_config_flag_is_gone(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("stats=ture\n")
-    code, _, err = run(["solve", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert err.count("\n") == 1
-    assert "stats: expected one of" in err and "'ture'" in err
+    cfg.write_text("alpha = 0.1\n")
+    code, out, err = run(["certify", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"nfeq: unrecognized arguments: --config {cfg}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "paradise", "--alpha", "0", "--beta", "0.2", "--n", "32"],
+    ["certify", "--problem", "section5", "--gamma", "0.5"],
+    ["picard", "--problem", "cusp", "--n", "32", "--tol", "1e-10"],
+    ["study", "--problem", "cusp", "--nmin", "16", "--nmax", "128"],
+    ["interp-check", "--gamma", "0.25", "--trials", "5", "--samples", "129"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("with_command", [False, True], ids=["flags", "command"])
+def test_option_file_run_equals_the_flag_run(argv, with_command, tmp_path, capsys):
+    # one flag and its value a line, after a comment and a blank line; the
+    # file may hold the subcommand too
+    lines = ([argv[0]] if with_command else []) + [
+        " ".join(argv[i:i + 2]) for i in range(1, len(argv), 2)]
+    opts = tmp_path / "run.args"
+    opts.write_text("# the same run\n\n" + "\n".join(lines) + "\n")
+    by_file = run([f"@{opts}"] if with_command else [argv[0], f"@{opts}"], capsys)
+    by_flags = run(argv, capsys)
+    # a study rung's runtime is wall time; every other byte must match
+    file_out, flags_out = (re.sub(r"runtime=\S+", "", r[1]) for r in (by_file, by_flags))
+    assert by_file[0] == by_flags[0] == 0
+    assert file_out == flags_out != ""
+    assert by_file[2] == by_flags[2]
+
+
+def test_later_arguments_override_the_option_file(tmp_path, capsys):
+    opts = tmp_path / "run.args"
+    opts.write_text("--problem paradise --alpha 0.1 --beta 0.2 --gamma 1\n")
+    code, out, _ = run(["certify", f"@{opts}", "--alpha", "0.05"], capsys)
+    assert code == 0
+    assert out == run(["certify", "--problem", "paradise", "--alpha", "0.05",
+                       "--beta", "0.2", "--gamma", "1"], capsys)[1]
+    assert "lipschitz_factor=0.5\n" in out
+
+
+def test_option_file_words_are_shell_words(tmp_path, capsys):
+    # quotes keep a path with a space whole, and # outside quotes is a comment
+    path = tmp_path / "my dir" / "sol #1.csv"
+    path.parent.mkdir()
+    opts = tmp_path / "run.args"
+    opts.write_text(f"--n 4 --output-csv '{path}'  # quoted\n")
+    code, out, err = run(["solve", "--problem", "cusp", f"@{opts}"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {path}\n")
+    assert path.exists()
 
 
 def test_custom_problem_from_csv(tmp_path, capsys):
@@ -486,16 +548,44 @@ def test_custom_problem_notice_says_norms_are_sampled(tmp_path, capsys):
 # argument handling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv, contents", [
+    (["solve", "--n", "x"], None),
+    (["solve", "--problem", "paradis"], None),
+    (["solve", "--frobnicate"], None),
+    (["--problem", "cusp"], None),
+    (["solve", "@absent.args"], None),
+    (["solve", "@run.args"], b"--output-csv 'a.csv\n"),
+    (["@run.args"], b"picard\n--tol tiny\n"),
+    (["solve", "@run.args"], b"--n \xff\xfe\n"),
+    (["solve", "@run.args"], b"--n 8 @run.args\n"),
+], ids=["bad int", "bad choice", "unknown flag", "missing subcommand", "missing file",
+        "unclosed quote", "bad value in file", "undecodable file", "nested file"])
+def test_every_usage_error_is_one_line(argv, contents, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if contents is not None:
+        (tmp_path / "run.args").write_bytes(contents)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("nfeq: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_ok(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out != ""
+
+
 def test_version_exits_ok(capsys):
     assert cli.main(["--version"]) == 0
     capsys.readouterr()
 
 
 def test_unknown_flag(capsys):
-    assert cli.main(["solve", "--frobnicate"]) == 1
-    capsys.readouterr()
+    assert run(["solve", "--frobnicate"], capsys) == (
+        1, "", "nfeq: unrecognized arguments: --frobnicate\n")
 
 
 def test_missing_command(capsys):
-    assert cli.main([]) == 1
-    capsys.readouterr()
+    assert run([], capsys) == (1, "", "nfeq: the following arguments are required: "
+                                      "command\n")

@@ -228,7 +228,7 @@ def test_run_study_refuses_fit_min_n_above_the_ladder(monkeypatch):
     # fewer than two rungs at or above fit_min_n could fit no order
     seen = ladder_solves(monkeypatch)
     for fit_min_n in (100000, 1025, 1024, 513):
-        with pytest.raises(ValueError, match=rf"^fit_min_n={fit_min_n} leaves fewer "
+        with pytest.raises(ValueError, match=rf"^--fit-min-n {fit_min_n} leaves fewer "
                                              r"than 2 rungs to fit: it can be at most "
                                              r"N=512$"):
             study.run_study(cusp_manufactured(), n_ladder=LADDER, fit_min_n=fit_min_n)
@@ -244,8 +244,8 @@ def test_run_study_refuses_error_samples_below_the_largest_n(monkeypatch):
     # m < 1024; at m = 1024 each cell holds its own midpoint
     seen = ladder_solves(monkeypatch)
     for m in (1, 1023):
-        with pytest.raises(ValueError, match=rf"^m={m} error samples leave cells of "
-                                             r"N=1024 unsampled: m must be at least "
+        with pytest.raises(ValueError, match=rf"^--error-samples {m} leaves cells of "
+                                             r"N=1024 unsampled: it must be at least "
                                              r"1024$"):
             study.run_study(cusp_manufactured(), n_ladder=LADDER, m=m)
     assert seen == []

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--target", choices=["smooth_parabola", "cusp"], default=None,
                          help="manufacture this target on the chosen coefficients")
     p_study.add_argument("--smoothness-k", type=int, choices=[0, 1], default=0)
-    p_study.add_argument("--fit-min-n", type=int, default=study.DEFAULT_FIT_MIN_N)
+    p_study.add_argument("--fit-min-n", type=int, default=None)
     p_study.add_argument("--output-csv", default=None)
 
     p_interp = sub.add_parser("interp-check",

@@ -17,18 +17,18 @@ any solver runs. Each row of B sums to 1, so a nonsingular A = I - B_int
 dw <= W, freezes w with the bound ||A^-1||_inf <= ||w||_inf / (1 - dw) <=
 ||A^-1||_inf / (1 - W), and sweeps u alone until the bound times du reaches
 SWEEP_TOL. SuperLU takes over for two causes only: a contraction too slow
-for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one
-factor of I - B_int, built from the same B, gives u and w = A^-1 1 exactly.
+for MAX_SWEEPS, or a singular system (dw still 1 at sweep N). Its one factor
+of ``assemble``'s I - B_int gives u and w = A^-1 1 exactly.
 B is a ``DelayMap``, a plain CSR triple whose ``b @ x`` runs scipy's
 compiled kernel ``csr_matvec``, bound when this module is imported:
 ``load_sparse`` loads the kernel's module, private to scipy, by file (about
 0.2 MiB and 0.5 ms) rather than all of scipy.sparse (20 MiB, 0.2 s); a test
 checks that it is the module a later ``import scipy.sparse`` uses. Only the
 SuperLU fallback imports scipy.sparse and ``nfeq.linalg`` (about 30 MiB and
-0.25 s), outside every timer the package reports.
+0.25 s), before its first timer, so outside every timer the package reports.
 The condition is one formula on both paths, ||A||_inf times the bound or
 max(w). Both solutions must pass the gate max |B u + k - u| <= RESIDUAL_TOL,
-one matvec with the B they were solved with.
+one matvec with the B the sweep ran on.
 
 A refinement study solves all its rungs as one system: ``delay_map`` of a
 ladder of grids is block-diagonal in the interior columns, and
@@ -98,16 +98,16 @@ class CollocationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AssemblyStats:
+    #: B's 4(N - 1) stored entries; on a fallback, I - B_int's nnz after summing duplicates
     nonzeros: int
+    #: the rung's row share of building B, plus a fallback's ``assemble`` rebuild
     assembly_time: float
+    #: the rung's row share of the sweeps, plus a fallback's factor and solve
     solve_time: float
     #: sweeps of u run, including those tried before a SuperLU fallback
     sweeps: int
     #: "sweep" or "superlu": the path that solved the system
     solver: str
-    #: seconds spent importing ``nfeq.linalg`` (the first fallback in a
-    #: process pays it), in neither timer; 0.0 when nothing loaded
-    import_time: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,14 +232,9 @@ def assemble(p: ProblemSpec, grid: UniformGrid) -> tuple["sparse.csr_array", np.
     on the interior nodes enter the matrix I - B, its boundary columns move
     to the right-hand side scaled by the boundary values.
     """
-    return _interior_system(p, *delay_map(p, grid))
-
-
-def _interior_system(p: ProblemSpec, b: DelayMap,
-                     k: np.ndarray) -> tuple["sparse.csr_array", np.ndarray]:
-    """``assemble`` from a delay map B and source k already built."""
     from scipy import sparse  # only the SuperLU fallback needs scipy.sparse
-    n = b.shape[0] + 1
+    b, k = delay_map(p, grid)
+    n = grid.n
     # I - B on the interior columns, the unit diagonal ahead of each row's
     # four B entries so duplicates sum in the row-loop reference's order;
     # built directly, it costs less at small N than sparse arithmetic on B
@@ -401,30 +396,12 @@ def solve_collocation(p: ProblemSpec, n: int) -> CollocationSolution:
     return solutions[0]
 
 
-def _load_linalg():
-    """``nfeq.linalg`` and the seconds its import took: 0.0 when it was loaded."""
-    name = f"{__package__}.linalg"
-    if name in sys.modules:
-        return sys.modules[name], 0.0
-    t0 = time.perf_counter()
-    module = importlib.import_module(name)
-    return module, time.perf_counter() - t0
-
-
-def _rung_map(b: DelayMap, start: int, stop: int) -> DelayMap:
-    """Rows start..stop-1 of a ladder's B, one rung's, as its own grid's B:
-    interior columns shifted back by ``start``, column T+1 mapped to N."""
-    n = stop - start + 1
-    cols = b.indices[4 * start:4 * stop]
-    own = np.where(cols == 0, 0, np.where(cols == b.shape[1] - 1, n, cols - start))
-    return DelayMap(b.data[4 * start:4 * stop], own, b.indptr[:n], (n - 1, n + 1))
-
-
-def _superlu(linalg, p: ProblemSpec, b: DelayMap, k: np.ndarray):
-    """Solve one grid's system through one SuperLU factor of I - B_int.
+def _superlu(p: ProblemSpec, grid: UniformGrid):
+    """One SuperLU factor of ``assemble(p, grid)``'s I - B_int solves it.
     Returns (nodal values, max(A^-1 1), nonzeros, build and solve seconds)."""
+    from . import linalg  # the first fallback in a process imports it, untimed
     t0 = time.perf_counter()
-    a, rhs = _interior_system(p, b, k)
+    a, rhs = assemble(p, grid)
     t1 = time.perf_counter()
     try:
         lu = linalg.factor(a)
@@ -437,7 +414,7 @@ def _superlu(linalg, p: ProblemSpec, b: DelayMap, k: np.ndarray):
     values = np.concatenate(([p.boundary_left], x, [p.boundary_right]))
     # B >= 0 with unit row sums makes a nonsingular A an M-matrix, so
     # A^-1 >= 0 and ||A^-1||_inf is its largest row sum, exactly
-    bound = float(lu.solve(np.ones(b.shape[0])).max())
+    bound = float(lu.solve(np.ones(grid.n - 1)).max())
     return values, bound, a.nnz, t1 - t0, t2 - t1
 
 
@@ -449,12 +426,13 @@ def _solve_ladder(p: ProblemSpec, ns: list[int]):
     ``delay_map`` still checks the coefficients at every rung's own nodes,
     before any rung is solved. All rungs sweep in lockstep
     (``_certified_sweeps``); the rungs that give up go to SuperLU in
-    ascending N, each from its own rows of B. Each rung's condition and
-    residual gate come from the same B. The ladder stops at the first rung
-    whose solve raises CollocationError. Returns (the solutions of the rungs
-    before it, that error or None). A rung's stats time its row share
-    (N - 1) / T of the build and of the sweeps, plus its own fallback; the
-    residual gate and the condition are in no timer.
+    ascending N, each through ``assemble`` on its own grid, whose B is
+    bit-identical to the rung's rows of the ladder's. Each rung's condition
+    and residual gate come from the ladder's B. The ladder stops at the
+    first rung whose solve raises CollocationError. Returns (the solutions
+    of the rungs before it, that error or None). A rung's stats time its
+    row share (N - 1) / T of the build and of the sweeps, plus its own
+    fallback; the residual gate and the condition are in no timer.
     """
     grids = [UniformGrid(n) for n in ns]
     t0 = time.perf_counter()
@@ -465,16 +443,13 @@ def _solve_ladder(p: ProblemSpec, ns: list[int]):
     t2 = time.perf_counter()
 
     solved, failure = [], None
-    for n, start, (values, bound, sweeps) in zip(ns, starts, swept):
-        share = (n - 1) / b.shape[0]
-        nonzeros, solver, import_time = 4 * (n - 1), "sweep", 0.0
+    for grid, (values, bound, sweeps) in zip(grids, swept):
+        share = (grid.n - 1) / b.shape[0]
+        nonzeros, solver = 4 * (grid.n - 1), "sweep"
         assembly_time, solve_time = share * (t1 - t0), share * (t2 - t1)
         if values is None:
-            linalg, import_time = _load_linalg()  # only a fallback pays, untimed
-            own = b if len(ns) == 1 else _rung_map(b, start, start + n - 1)
             try:
-                values, bound, nonzeros, build, solve = _superlu(
-                    linalg, p, own, k[start:start + n - 1])
+                values, bound, nonzeros, build, solve = _superlu(p, grid)
             except CollocationError as exc:
                 failure = exc
                 break
@@ -482,11 +457,10 @@ def _solve_ladder(p: ProblemSpec, ns: list[int]):
             solver = "superlu"
             assembly_time, solve_time = assembly_time + build, solve_time + solve
         stats = AssemblyStats(nonzeros=int(nonzeros), assembly_time=assembly_time,
-                              solve_time=solve_time, sweeps=sweeps, solver=solver,
-                              import_time=import_time)
+                              solve_time=solve_time, sweeps=sweeps, solver=solver)
         solved.append((values, bound, stats))
 
-    # the interior collocation residual, through the B both paths solved with
+    # the interior collocation residual, through the ladder's B on both paths
     x = np.zeros(b.shape[1])
     x[0], x[-1] = p.boundary_left, p.boundary_right
     for (values, _, _), n, start in zip(solved, ns, starts):

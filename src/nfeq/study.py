@@ -36,8 +36,9 @@ def error_sample_points(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LadderRung:
-    """``runtime`` is the rung's own ``assembly_time + solve_time`` plus its
-    sup-error measurement: no one-time load and no validation is in it."""
+    """``runtime`` is the rung's own ``assembly_time + solve_time`` (with a
+    fallback's ``assemble`` rebuild) plus its sup-error measurement: no
+    one-time load and no validation is in it."""
 
     n: int
     h: float
@@ -71,7 +72,7 @@ def fit_order(points) -> tuple[float, float]:
 
 def run_study(problem, exact: FunctionHandle | None = None,
               n_ladder=None, m: int = DEFAULT_ERROR_SAMPLES,
-              fit_min_n: int = DEFAULT_FIT_MIN_N,
+              fit_min_n: int | None = None,
               smoothness_k: int = 0,
               label: str | None = None) -> ConvergenceReport:
     """Solve across the refinement ladder, measure sup errors, fit the order.
@@ -82,11 +83,12 @@ def run_study(problem, exact: FunctionHandle | None = None,
     block-diagonal system (``collocation._solve_ladder``): each rung's
     solution, condition and stats are those of ``solve_collocation`` on its
     own N. A solver failure on a rung leaves a partial ladder with the
-    failure recorded. A ``fit_min_n`` above the second largest N, which
-    would leave fewer than two rungs to fit, raises ValueError; so does an
-    ``m`` below the largest N, which would leave cells with no error sample.
-    Both messages name the parameter by its ``nfeq study`` flag,
-    ``--fit-min-n`` or ``--error-samples``.
+    failure recorded. A ``fit_min_n`` (None: DEFAULT_FIT_MIN_N) above the
+    second largest N, which would leave fewer than two rungs to fit, raises
+    ValueError; so does an ``m`` below the largest N, which would leave cells
+    with no error sample. Both messages name the parameter by its ``nfeq
+    study`` flag, ``--fit-min-n`` (saying so if the default applied) or
+    ``--error-samples``.
     """
     spec = problem.problem if isinstance(problem, ManufacturedProblem) else problem
     label = label or getattr(problem, "description", "problem")
@@ -98,8 +100,10 @@ def run_study(problem, exact: FunctionHandle | None = None,
         raise ValueError(f"ladder needs at least 4 entries, got {len(ladder)}")
     if ladder[0] < 2:
         raise ValueError(f"every rung needs N >= 2, got {ladder[0]}")
+    named = fit_min_n if fit_min_n is not None else f"defaults to {DEFAULT_FIT_MIN_N}, which"
+    fit_min_n = DEFAULT_FIT_MIN_N if fit_min_n is None else fit_min_n
     if fit_min_n > ladder[-2]:
-        raise ValueError(f"--fit-min-n {fit_min_n} leaves fewer than 2 rungs to fit: "
+        raise ValueError(f"--fit-min-n {named} leaves fewer than 2 rungs to fit: "
                          f"it can be at most N={ladder[-2]}")
     if m < ladder[-1]:
         raise ValueError(f"--error-samples {m} leaves cells of N={ladder[-1]} "

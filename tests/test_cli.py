@@ -327,6 +327,15 @@ def test_study_refuses_fit_min_n_above_nmax(capsys):
                        "fit: it can be at most N=128\n")
 
 
+def test_study_refusal_of_the_default_fit_min_n_says_it_is_the_default(capsys):
+    # a flag the user never typed is named as the default it is
+    code, out, err = run(["study", "--problem", "cusp", "--nmin", "2", "--nmax", "16"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == ("nfeq: --fit-min-n defaults to 16, which leaves "
+                   "fewer than 2 rungs to fit: it can be at most N=8\n")
+
+
 # ---------------------------------------------------------------------------
 # interp-check
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dis
+import json
 import os
 import subprocess
 import sys
@@ -733,6 +734,7 @@ def run_fresh(script, *args):
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("first", ["superlu", "singular"])
@@ -795,7 +797,7 @@ def test_import_binds_the_kernel_without_scipy_sparse():
 
 
 SLOW_LINALG_IMPORT = """
-import sys, time
+import json, sys, time
 import nfeq
 from nfeq import collocation, problem, study
 from nfeq.oracles import manufacture, smooth_parabola
@@ -813,27 +815,45 @@ class SlowLinalg:
 
 sys.meta_path.insert(0, SlowLinalg())
 stats = collocation.solve_collocation(problem.paradise_fish(0.05, 0.8), 1024).stats
-assert SlowLinalg.calls == 1, SlowLinalg.calls
-assert stats.solver == "superlu", stats
-assert stats.assembly_time + stats.solve_time < 0.25, stats
+solve = dict(calls=SlowLinalg.calls, solver=stats.solver,
+             timed=stats.assembly_time + stats.solve_time)
 
 # unloaded again, so the study's first rung imports it as a first fallback
 del sys.modules["nfeq.linalg"], nfeq.linalg
 base = problem.paradise_fish(0.9, 0.9)
 parabola = manufacture(smooth_parabola(), base.phi, base.phi1, base.phi2, base.gamma)
 rung = study.run_study(parabola, n_ladder=[16, 32, 64, 128]).ladder[0]
-assert SlowLinalg.calls == 2, SlowLinalg.calls
-assert rung.runtime < 0.25, rung
+calls = SlowLinalg.calls
 stats = collocation.solve_collocation(parabola.problem, 16).stats
-assert stats.solver == "superlu" and SlowLinalg.calls == 2, (stats, SlowLinalg.calls)
+study = dict(calls=calls, runtime=rung.runtime, solver=stats.solver,
+             calls_after=SlowLinalg.calls)
+print(json.dumps(dict(solve=solve, study=study)))
 """
 
 
-def test_fallback_import_is_not_timed():
+@pytest.fixture(scope="module")
+def slow_linalg():
+    # one fresh interpreter serves both checks: a single solve, then, with
+    # nfeq.linalg unloaded again, a study whose first rung is a first fallback
+    return json.loads(run_fresh(SLOW_LINALG_IMPORT))
+
+
+def test_fallback_import_is_not_timed(slow_linalg):
     # a 0.5 s import of nfeq.linalg in a fresh interpreter must show in
-    # neither stats timer of a solve, nor in the runtime of a study's rung
-    # that is the process's first SuperLU fallback
-    run_fresh(SLOW_LINALG_IMPORT)
+    # neither stats timer
+    solve = slow_linalg["solve"]
+    assert solve["calls"] == 1, solve
+    assert solve["solver"] == "superlu", solve
+    assert solve["timed"] < 0.25, solve
+
+
+def test_fallback_import_is_not_in_rung_runtime(slow_linalg):
+    # the first rung of this study is the process's first SuperLU fallback:
+    # its 0.5 s import of nfeq.linalg must not show in the rung's runtime
+    study = slow_linalg["study"]
+    assert study["calls"] == 2, study
+    assert study["runtime"] < 0.25, study
+    assert study["solver"] == "superlu" and study["calls_after"] == 2, study
 
 
 SLOW_KERNEL_LOAD = """

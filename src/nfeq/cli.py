@@ -298,8 +298,8 @@ def main(argv=None) -> int:
         _err(str(exc))
         return EXIT_NUMERICAL
     except (problem.ProblemValidationError, problem.FormError, ValueError,
-            OSError) as exc:
-        _err(str(exc))
+            OSError, MemoryError) as exc:  # numpy's MemoryError names the array
+        _err(str(exc) or type(exc).__name__)
         return EXIT_USAGE
 
 

@@ -199,8 +199,9 @@ def delay_map(p: ProblemSpec, *grids: UniformGrid) -> tuple[DelayMap, np.ndarray
             ts = interior[rows]
             phi_vals, x1, x2 = p.coefficients(ts, lo)
             for col, coeff, x in ((0, phi_vals, x1), (2, 1.0 - phi_vals, x2)):
+                x = x.copy()  # place writes into x, which may be ts itself
                 if shift is None:
-                    i, w = place(nodes, n, x)  # x: coefficients' own clamped copy
+                    i, w = place(nodes, n, x)
                     indices[rows, col] = i
                     np.add(i, 1, out=indices[rows, col + 1], casting="unsafe")
                 else:  # a rung's nodes 0 and N_r are columns 0 and T+1

@@ -34,18 +34,19 @@ class DomainError(ValueError):
 
 
 def clamp_unit(t) -> np.ndarray:
-    """Points t as a 1-d array clamped onto [0,1].
+    """Points t as a float array of at least 1 dimension clamped onto [0,1].
 
     Points within CLAMP_TOL of [0,1] are clamped onto it; the first point
-    further out, or NaN, raises DomainError carrying its index.
+    further out, or NaN, raises DomainError carrying its index. Only a clamp
+    copies, so a caller that writes into the result copies it first.
     """
-    ts = np.array(t, dtype=float, ndmin=1)  # a copy: grids.place writes into it
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     lo, hi = ts.min(initial=np.inf), ts.max(initial=-np.inf)  # an empty t passes
     if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):  # NaN fails too
         k = int(np.flatnonzero(~((ts >= -CLAMP_TOL) & (ts <= 1.0 + CLAMP_TOL)))[0])
         raise DomainError(f"t={float(ts[k])!r} outside [0,1]", index=k)
     if lo < 0.0 or hi > 1.0:
-        np.clip(ts, 0.0, 1.0, out=ts)
+        ts = np.clip(ts, 0.0, 1.0)
     return ts
 
 
@@ -106,10 +107,11 @@ def eval_on(f, ts) -> np.ndarray:
 
 def checked_unit(name: str, vals: np.ndarray, ts: np.ndarray,
                  row: int | None = None) -> np.ndarray:
-    """clamp_unit(vals) for the values ``vals = sample(fn, ts)`` of the
-    function called ``name`` at 1-d points ts. Its DomainError, raised for a
-    value outside [0, 1] or non-finite, names the function, the point and the
-    value, and, given ``row``, the interior row of ts[0], the collocation node."""
+    """clamp_unit(vals), so maybe vals itself, for the values ``vals =
+    sample(fn, ts)`` of the function called ``name`` at 1-d points ts. Its
+    DomainError, raised for a value outside [0, 1] or non-finite, names the
+    function, the point and the value, and, given ``row``, the interior row
+    of ts[0], the collocation node."""
     try:
         return clamp_unit(vals)
     except DomainError as exc:

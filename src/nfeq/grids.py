@@ -1,8 +1,8 @@
 """Uniform grids, the piecewise-linear interpolation projector and its bounds.
 
-``locate`` checks every point with ``functions.clamp_unit`` and hands it to
-``place``; ``collocation.delay_map`` calls ``place`` directly on the delays
-``ProblemSpec.coefficients`` already checked.
+``locate`` checks every point with ``functions.clamp_unit`` and hands a copy
+to ``place``; ``collocation.delay_map`` calls ``place`` directly on copies of
+the delays ``ProblemSpec.coefficients`` already checked.
 """
 from __future__ import annotations
 
@@ -50,8 +50,8 @@ class UniformGrid:
 
 
 def locate(grid: UniformGrid, t) -> tuple[np.ndarray, np.ndarray]:
-    """``place`` for points t checked and clamped by clamp_unit, a fresh copy."""
-    return place(grid.nodes, grid.n, clamp_unit(t))
+    """``place`` for a copy of the points t checked and clamped by clamp_unit."""
+    return place(grid.nodes, grid.n, clamp_unit(t).copy())
 
 
 def place(nodes: np.ndarray, n, tc: np.ndarray,
@@ -61,8 +61,8 @@ def place(nodes: np.ndarray, n, tc: np.ndarray,
     The grid has n subintervals and nodes t_0..t_n = nodes[first:first + n + 1].
     n and first may be arrays, one entry per point of tc: then each point
     is placed on its own grid, whose nodes lie at ``first`` in the
-    concatenated ``nodes`` of several grids. tc is a 1-d float array already
-    in [0, 1]; w is computed in place in it. The cell is floor(tc n), moved
+    concatenated ``nodes`` of several grids. tc, a 1-d float array in [0, 1]
+    that the caller owns, becomes w in place. The cell is floor(tc n), moved
     by one step where rounding put tc n on the wrong side of a node, so i
     equals searchsorted(t_0..t_n, tc, "right") - 1 clipped to [0, n-1].
     """

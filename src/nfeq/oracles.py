@@ -24,7 +24,7 @@ def product_formula(beta: float, t, tol: float = PRODUCT_TOL):
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    x = clamp_unit(t).ravel()
+    x = clamp_unit(t).flatten()  # a copy: the product scales x in place
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     prod = np.ones_like(x)

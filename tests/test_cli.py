@@ -578,6 +578,21 @@ def test_every_usage_error_is_one_line(argv, contents, tmp_path, monkeypatch, ca
     assert err.startswith("nfeq: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "picard", "interp-check"])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type "
+    "float64", ""], ids=["numpy", "bare"])
+def test_an_impossible_grid_is_one_line(command, message, monkeypatch, capsys):
+    # the grid constructor raises as numpy's linspace does for --n 10^12,
+    # without trying the allocation
+    def refuse(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(grids.UniformGrid, "__post_init__", refuse)
+    line = message or "MemoryError"
+    assert run([command, "--n", "1000000000000"], capsys) == (1, "", f"nfeq: {line}\n")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
 def test_help_exits_ok(argv, capsys):
     code, out, err = run(argv, capsys)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfeq import grids
+from nfeq.collocation import delay_map
 from nfeq.functions import CLAMP_TOL, EvaluationError, FunctionHandle, constant, identity
-from nfeq.oracles import cusp_solution
+from nfeq.oracles import cusp_solution, product_formula
+from nfeq.problem import paradise_fish
 
-from helpers import plain_cusp_trials, poly_handle, projector_norm_reference
+from helpers import plain_cusp_trials, poly_handle, projector_norm_reference, whole_delay_map
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +91,33 @@ def test_clamp_unit_values_and_error_index(t, bad):
 
 @pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 9), np.array([0.5, 1.0 + 5e-13])])
 def test_clamp_unit_never_aliases_input(t):
-    # locate writes the hat weights into clamp_unit's result
+    # clamp_unit copies only to clamp, so every path that writes into the
+    # checked points (locate's hat weights, product_formula's in-place
+    # product) must leave its own input as it was
     before = t.copy()
-    out = grids.clamp_unit(t)
-    assert not np.shares_memory(out, t)
     grids.locate(grids.UniformGrid(3), t)
     np.testing.assert_array_equal(t, before)
+    grids.project(cusp_solution(0.5), grids.UniformGrid(3)).evaluate(t)
+    np.testing.assert_array_equal(t, before)
+    rows = np.stack((t, t[::-1]))
+    rows_before = rows.copy()
+    for points in (t, rows):
+        product_formula(0.5, points)
+    np.testing.assert_array_equal(t, before)
+    np.testing.assert_array_equal(rows, rows_before)
+
+
+def test_delay_map_leaves_the_nodes_unchanged():
+    # phi = t and this phi1 hand back the interior nodes themselves, into
+    # whose copies delay_map places the hat weights
+    p = replace(paradise_fish(0.05, 0.2), phi1=FunctionHandle(eval=lambda t: t))
+    g = grids.UniformGrid(16)
+    b, k = delay_map(p, g)
+    np.testing.assert_array_equal(g.nodes, np.linspace(0.0, 1.0, 17))
+    ref_b, ref_k = whole_delay_map(p, grids.UniformGrid(16))
+    for got, want in ((b.data, ref_b.data), (b.indices, ref_b.indices),
+                      (b.indptr, ref_b.indptr), (k, ref_k)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)

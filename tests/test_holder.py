@@ -226,18 +226,25 @@ def test_pruning_reaches_few_leaf_tiles(monkeypatch):
     # only a count sees lost pruning: certify's affine phi at m = 2049 sends
     # 4 leaf tiles to the scan and verify-analysis' batch of 50 cusp trials
     # at m = 513 about 1,900, against about 33,000 and 36,000 without the
-    # (first of I, last of J) witness pairs
-    scanned = []
-    scan = holder._scan_leaves
+    # (first of I, last of J) witness pairs. The scan pays per batch, so
+    # the batch counts are pinned too: 4 and 2 from TOP_BLOCKS = 64 blocks,
+    # against 7 and 5 from 8
+    scanned, batches = [], []
+    scan, bounds = holder._scan_leaves, holder._tile_bounds
     monkeypatch.setattr(holder, "_scan_leaves",
                         lambda *args: scanned.append(args[4].size) or scan(*args))
+    monkeypatch.setattr(holder, "_tile_bounds",
+                        lambda *args: batches.append(args[3].size) or bounds(*args))
     certify(replace(section5(0.02, 0.5), norms=None), m=2049)  # sampled norms
     assert sum(scanned) <= 16
+    assert len(batches) <= 4
     scanned.clear()
+    batches.clear()
     ts = holder.uniform_samples(513)
     trials = random_cusp_trials(np.random.default_rng(51), 50, 0.5)
     holder.pairwise_seminorm(ts, np.stack([f(ts) for f in trials]), 0.5)
     assert sum(scanned) <= 4096
+    assert len(batches) <= 2
 
 
 def test_pairwise_seminorm_exponents_outside_unit_interval():
